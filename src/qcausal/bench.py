@@ -1,10 +1,11 @@
 """Benchmark harness: sweeps, random ensembles, membership checks, error bars.
 
-The sweep evaluates both the alignment criterion and, for points near the
-ambiguous plane, the flipped-round distance criterion for the direct-cause
-and common-cause realization of every grid point, producing one flat record
-per mechanism per point.  In sampled mode the reported quantities carry
-bootstrap standard deviations obtained by resampling the observed counts.
+The sweep runs ``identify`` on the direct-cause and common-cause
+realization of every grid point, producing one flat record per mechanism per
+point.  It reports the alignment criterion for every point and, for points
+near the ambiguous plane, the flipped-round distance.  In sampled mode the
+reported quantities carry bootstrap standard deviations obtained by
+resampling the observed counts.
 """
 
 from __future__ import annotations
@@ -15,24 +16,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .comb import (
-    MeasurementOracle,
-    Scenario,
-    ShotCounts,
-    correlation,
-    make_oracle,
-    pauli_vector,
-)
+from .comb import Scenario, ShotCounts, make_oracle, pauli_vector
 from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, distance, plane_gap
-from .identify import (
-    AlgoConfig,
-    SECOND_ROUND_TARGET,
-    alignment_scan,
-    axis_candidates,
-    identify,
-    modifier_from_axis,
-    second_round,
-)
+from .identify import AlgoConfig, SECOND_ROUND_TARGET, alignment_scan, identify
+# Unused here; bound so the per-layer benchmark tracer can wrap them on this module.
+from .identify import axis_candidates, modifier_from_axis, second_round  # noqa: F401
 from .linalg import pauli
 from .scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, plane_dc, random_state
 
@@ -50,8 +38,6 @@ __all__ = [
     "sweep_records_to_csv",
     "sweep_summary",
 ]
-
-_I2 = pauli(0)
 
 CSV_SCHEMA_VERSION = "qcausal-sweep-v1"
 CSV_COLUMNS = (
@@ -183,66 +169,43 @@ def bootstrap_errorbars(
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _history_index(oracle: MeasurementOracle, correlations: np.ndarray) -> int:
-    for i, rec in enumerate(oracle.history):
-        if rec.correlations is correlations:
-            return i
-    raise RuntimeError("query result not found in oracle history")
-
-
 def _evaluate_scenario(scenario, config, shots, seed, resamples):
     """Criterion, distance, verdict and bootstrap stds for one mechanism."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     oracle_seed, bootstrap_seed = seed.spawn(2)
     oracle = make_oracle(scenario, shots=shots, seed=oracle_seed)
-    p0 = oracle.query(_I2, _I2)
-
-    entries = alignment_scan(oracle, p0, config)
-    best_entry = min(entries, key=lambda e: e.criterion)
-    criterion = float(best_entry.criterion)
-
-    dist = None
-    best_final = None
-    if plane_gap(p0) < config.delta:
-        rounds_used = 2
-        best_dist = np.inf
-        for axis in axis_candidates(p0).axes:
-            result = second_round(oracle, modifier_from_axis(axis), config)
-            if result.criterion_value < best_dist:
-                best_dist = result.criterion_value
-                finals = result.trail[1:]
-                best_final = min(finals, key=lambda t: distance(t[2], SECOND_ROUND_TARGET))
-        dist = float(best_dist)
-        verdict = "DC" if dist < config.epsilon_prime else "CC"
+    result = identify(oracle, config)
+    p0 = oracle.history[0].correlations
+    if result.rounds_used == 2:
+        # The flipped round never measures the alignment criterion; one scan
+        # after the verdict fills the criterion column so the curves are complete.
+        aligned = min(alignment_scan(oracle, p0, config), key=lambda e: e.criterion)
+        criterion, criterion_counts = aligned.criterion, aligned.counts
+        dist = result.criterion_value
     else:
-        rounds_used = 1
-        verdict = "DC" if criterion < config.epsilon else "CC"
+        criterion, criterion_counts = result.criterion_value, result.counts
+        dist = None
 
     std_criterion = None
     std_distance = None
     if shots:
         rng = np.random.default_rng(bootstrap_seed)
-        idx = _history_index(oracle, best_entry.correlations)
         std_criterion = float(
             bootstrap_errorbars(
-                oracle.history[idx].counts,
-                derive=lambda c: 1.0 - c[2],
-                resamples=resamples,
-                seed=rng,
+                criterion_counts, derive=lambda c: 1.0 - c[2], resamples=resamples, seed=rng
             )[0]
         )
-        if best_final is not None:
-            idx = _history_index(oracle, best_final[2])
+        if dist is not None:
             std_distance = float(
                 bootstrap_errorbars(
-                    oracle.history[idx].counts,
+                    result.counts,
                     derive=lambda c: distance(c, SECOND_ROUND_TARGET),
                     resamples=resamples,
                     seed=rng,
                 )[0]
             )
-    return p0, rounds_used, criterion, dist, verdict, std_criterion, std_distance
+    return p0, result.rounds_used, criterion, dist, result.verdict, std_criterion, std_distance
 
 
 def _sweep_task(task):
@@ -306,6 +269,10 @@ def run_sweep(
     returned ordered by parameter then mechanism regardless of scheduling.
     """
     config = config or AlgoConfig()
+    if grid is not None and grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if family == "edge":
         grid_iter = _edge_grid(101 if grid is None else int(grid))
     elif family == "plane":
@@ -416,19 +383,12 @@ def exact_margin(scenario: Scenario, config: AlgoConfig | None = None) -> float:
     """
     config = config or AlgoConfig()
     oracle = make_oracle(scenario)
-    p0 = oracle.query(_I2, _I2)
-    gap = plane_gap(p0)
-    margins = [abs(gap - config.delta)]
-    if gap < config.delta:
-        best = np.inf
-        for axis in axis_candidates(p0).axes:
-            result = second_round(oracle, modifier_from_axis(axis), config)
-            best = min(best, result.criterion_value)
-        margins.append(abs(best - config.epsilon_prime))
-    else:
-        entries = alignment_scan(oracle, p0, config)
-        margins.append(abs(min(e.criterion for e in entries) - config.epsilon))
-    return float(min(margins))
+    result = identify(oracle, config)
+    threshold = config.epsilon_prime if result.rounds_used == 2 else config.epsilon
+    return float(min(
+        abs(plane_gap(oracle.history[0].correlations) - config.delta),
+        abs(result.criterion_value - threshold),
+    ))
 
 
 def run_random_bench(

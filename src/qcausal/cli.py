@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .bench import (
     run_random_bench,
     run_sweep,
@@ -25,7 +23,7 @@ from .bench import (
     sweep_records_to_csv,
     sweep_summary,
 )
-from .comb import ScenarioFormatError, load_scenario, make_oracle
+from .comb import ScenarioFormatError, _complex_to_pairs, load_scenario, make_oracle
 from .identify import AlgoConfig, identify
 
 ENV_PREFIX = "QCAUSAL_"
@@ -76,12 +74,6 @@ def _emit(text: str, out_path: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _matrix_to_pairs(m) -> list | None:
-    if m is None:
-        return None
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,14 +156,15 @@ def _cmd_identify(args) -> int:
             "delta": config.delta,
             "epsilon_prime": config.epsilon_prime,
         },
-        "winning_modifier": _matrix_to_pairs(result.winning_modifier),
+        "winning_modifier": None if result.winning_modifier is None
+        else _complex_to_pairs(result.winning_modifier),
         "trail": [
             {
-                "modifier_x": _matrix_to_pairs(wx),
-                "modifier_y": _matrix_to_pairs(wy),
-                "correlations": [float(v) for v in p],
+                "modifier_x": _complex_to_pairs(rec.modifier_x),
+                "modifier_y": _complex_to_pairs(rec.modifier_y),
+                "correlations": [float(v) for v in rec.correlations],
             }
-            for wx, wy, p in result.trail
+            for rec in oracle.history
         ],
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)

@@ -15,7 +15,6 @@ the only access the identification algorithm gets.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -290,8 +289,8 @@ class MeasurementOracle:
 
     ``query(wx, wy)`` measures the three same-setting correlations under the
     given basis modifiers and returns them as a length-3 array.  The
-    underlying scenario is not exposed; a thread-safe counter tracks the
-    number of queries, and ``history`` keeps the observed data.
+    underlying scenario is not exposed; a counter tracks the number of
+    queries, and ``history`` keeps the observed data.
     """
 
     def __init__(self, scenario: Scenario, shots: int = 0, seed=None):
@@ -300,7 +299,6 @@ class MeasurementOracle:
         self.__scenario = scenario
         self.shots = int(shots)
         self._rng = np.random.default_rng(seed)
-        self._lock = threading.Lock()
         self._queries = 0
         self.history: list[OracleRecord] = []
 
@@ -311,10 +309,9 @@ class MeasurementOracle:
     def query(self, modifier_x=None, modifier_y=None) -> np.ndarray:
         wx = _I2 if modifier_x is None else np.asarray(modifier_x, dtype=complex)
         wy = _I2 if modifier_y is None else np.asarray(modifier_y, dtype=complex)
-        with self._lock:
-            self._queries += 1
-            values, counts = _measure_vector(self.__scenario, wx, wy, self.shots, self._rng)
-            self.history.append(OracleRecord(wx, wy, values, counts))
+        self._queries += 1
+        values, counts = _measure_vector(self.__scenario, wx, wy, self.shots, self._rng)
+        self.history.append(OracleRecord(wx, wy, values, counts))
         return values
 
 
@@ -329,14 +326,6 @@ def make_oracle(scenario: Scenario, shots: int = 0, seed=None) -> MeasurementOra
 
 class ScenarioFormatError(ValueError):
     """Raised when a scenario document does not match the schema."""
-
-
-_BELL_KETS = (
-    np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),   # phi+
-    np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),  # phi-
-    np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),   # psi+
-    np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),  # psi-
-)
 
 
 def _complex_to_pairs(m: np.ndarray) -> list:
@@ -389,13 +378,9 @@ def scenario_from_json(doc: dict) -> Scenario:
         if key == "dc_matrix":
             return DirectCause(_pairs_to_complex(body, 2, "dc_matrix"))
         if key == "cc_bell_diagonal":
-            w = np.asarray(body, dtype=float)
-            if w.shape != (4,) or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
-                raise ScenarioFormatError("cc_bell_diagonal needs 4 weights summing to 1")
-            rho = sum(
-                max(float(p), 0.0) * np.outer(ket, ket.conj()) for p, ket in zip(w, _BELL_KETS)
-            )
-            return CommonCause(TwoQubitState(rho))
+            from .scenarios import bell_diagonal
+
+            return bell_diagonal(body)
         return CommonCause(TwoQubitState(_pairs_to_complex(body, 4, "cc_matrix")))
     except ScenarioFormatError:
         raise

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -66,13 +66,11 @@ class AlgoConfig:
     epsilon: float = 0.075
     delta: float = 0.15
     epsilon_prime: float = 1.0 / math.sqrt(3.0)
-    max_rounds: int = 2
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.delta <= 0 or self.epsilon_prime <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        for v in (self.epsilon, self.delta, self.epsilon_prime):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError("thresholds must be finite and positive")
 
 
 @dataclass(eq=False)
@@ -93,23 +91,26 @@ class ClassificationResult:
 
     ``criterion_value`` is ``1 - C33`` of the best aligned frame for
     round-one verdicts and the distance to ``(-1, -1, 1)`` for second-round
-    verdicts.  ``trail`` lists every query as ``(wx, wy, correlations)``.
+    verdicts.  ``counts`` are the shot counts of the query that value was
+    computed from (``None`` in exact mode); every query is in the oracle's
+    ``history``.
     """
 
     verdict: str
     rounds_used: int
     criterion_value: float
     winning_modifier: np.ndarray | None
-    trail: list = field(default_factory=list)
     query_count: int = 0
+    counts: list | None = None
 
 
 class ScanEntry(NamedTuple):
-    """One aligned-frame probe: the modifier, its correlations, ``1 - C33``."""
+    """One aligned-frame probe: the modifier, its correlations, ``1 - C33``, its counts."""
 
     modifier: np.ndarray
     correlations: np.ndarray
     criterion: float
+    counts: list | None
 
 
 def axis_candidates(p: np.ndarray, tol: float = 1e-9) -> AxisCandidates:
@@ -204,7 +205,7 @@ def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig
     for axis in axis_candidates(p0).axes:
         v = modifier_from_axis(axis)
         pv = oracle.query(v, v)
-        entries.append(ScanEntry(v, pv, float(1.0 - pv[2])))
+        entries.append(ScanEntry(v, pv, float(1.0 - pv[2]), oracle.history[-1].counts))
     if min(e.criterion for e in entries) >= config.epsilon:
         extra = _refinement_probe(oracle, p0, entries)
         if extra is not None:
@@ -225,7 +226,7 @@ def _refinement_probe(oracle, p0, entries):
         return None
     v = modifier_from_axis(top)
     pv = oracle.query(v, v)
-    return ScanEntry(v, pv, float(1.0 - pv[2]))
+    return ScanEntry(v, pv, float(1.0 - pv[2]), oracle.history[-1].counts)
 
 
 def second_round(oracle: MeasurementOracle, v1: np.ndarray, config: AlgoConfig | None = None) -> ClassificationResult:
@@ -241,27 +242,22 @@ def second_round(oracle: MeasurementOracle, v1: np.ndarray, config: AlgoConfig |
     config = config or AlgoConfig()
     v1 = np.asarray(v1, dtype=complex)
     p1 = oracle.query(v1, v1 @ _SX)
-    trail = [(v1, v1 @ _SX, p1)]
     best_dist = np.inf
-    best_modifier = None
+    best_modifier = best_counts = None
     for axis in axis_candidates(p1).axes:
         v2 = modifier_from_axis(axis)
         wx = v1 @ v2
-        wy = v1 @ _SX @ v2
-        pf = oracle.query(wx, wy)
-        trail.append((wx, wy, pf))
-        d = distance(pf, SECOND_ROUND_TARGET)
+        d = distance(oracle.query(wx, v1 @ _SX @ v2), SECOND_ROUND_TARGET)
         if d < best_dist:
-            best_dist = d
-            best_modifier = wx
+            best_dist, best_modifier, best_counts = d, wx, oracle.history[-1].counts
     verdict = "DC" if best_dist < config.epsilon_prime else "CC"
     return ClassificationResult(
         verdict=verdict,
         rounds_used=2,
         criterion_value=float(best_dist),
         winning_modifier=best_modifier if verdict == "DC" else None,
-        trail=trail,
         query_count=oracle.query_count,
+        counts=best_counts,
     )
 
 
@@ -275,33 +271,23 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None) -> Cla
     """
     config = config or AlgoConfig()
     p0 = oracle.query(_I2, _I2)
-    trail = [(_I2.copy(), _I2.copy(), p0)]
 
     if plane_gap(p0) < config.delta:
         best = None
         for axis in axis_candidates(p0).axes:
             result = second_round(oracle, modifier_from_axis(axis), config)
-            trail.extend(result.trail)
             if best is None or result.criterion_value < best.criterion_value:
                 best = result
-        return ClassificationResult(
-            verdict=best.verdict,
-            rounds_used=2,
-            criterion_value=best.criterion_value,
-            winning_modifier=best.winning_modifier,
-            trail=trail,
-            query_count=oracle.query_count,
-        )
+        best.query_count = oracle.query_count
+        return best
 
-    entries = alignment_scan(oracle, p0, config)
-    trail.extend((e.modifier, e.modifier, e.correlations) for e in entries)
-    best = min(entries, key=lambda e: e.criterion)
+    best = min(alignment_scan(oracle, p0, config), key=lambda e: e.criterion)
     verdict = "DC" if best.criterion < config.epsilon else "CC"
     return ClassificationResult(
         verdict=verdict,
         rounds_used=1,
-        criterion_value=float(best.criterion),
+        criterion_value=best.criterion,
         winning_modifier=best.modifier if verdict == "DC" else None,
-        trail=trail,
         query_count=oracle.query_count,
+        counts=best.counts,
     )

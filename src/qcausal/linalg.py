@@ -33,7 +33,6 @@ __all__ = [
     "pauli",
     "kron",
     "is_unitary",
-    "unit_vector",
     "unitary_from_axis_angle",
     "rotation_from_axis_angle",
     "rotation_from_unitary",
@@ -97,18 +96,6 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.input_check) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
-
-
-def unit_vector(v: np.ndarray, tol: float = DEFAULT_TOL.validation) -> np.ndarray:
-    """Validate and return a real 3-vector of unit norm."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
-    if abs(np.linalg.norm(v) - 1.0) > max(tol, 1e-9):
-        raise ValueError(f"vector is not unit norm: |v| = {np.linalg.norm(v)}")
-    return v
 
 
 def unitary_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:

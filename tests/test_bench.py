@@ -13,10 +13,10 @@ from qcausal.bench import (
     sweep_records_to_csv,
     sweep_summary,
 )
-from qcausal.comb import ShotCounts
+from qcausal.comb import ShotCounts, make_oracle
 from qcausal.geometry import distance
-from qcausal.identify import SECOND_ROUND_TARGET
-from qcausal.scenarios import edge_dc, haar_unitary, random_state
+from qcausal.identify import SECOND_ROUND_TARGET, identify
+from qcausal.scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, random_state
 
 
 class TestBootstrap:
@@ -155,6 +155,38 @@ class TestSampledSweep:
         b = run_sweep("edge", grid=5, shots=2000, seed=3, resamples=150)
         assert sweep_records_to_csv(a) == sweep_records_to_csv(b)
 
+    def test_rows_match_identify_on_their_oracle_seed(self):
+        records = run_sweep("edge", grid=5, shots=2000, seed=3)
+        children = np.random.SeedSequence(3).spawn(len(records))
+        # seeds are spawned in grid order, "dc" then "cc"; records sort "cc" first
+        for i, a in enumerate(np.linspace(0.0, 1.0, 5)):
+            for j, (mechanism, scenario) in enumerate((("dc", edge_dc(a)), ("cc", edge_cc(a)))):
+                oracle = make_oracle(scenario, shots=2000, seed=children[2 * i + j].spawn(2)[0])
+                result = identify(oracle)
+                row = records[2 * i + (1 - j)]
+                assert (row.param, row.mechanism) == (f"{a:.10g}", mechanism)
+                assert row.verdict == result.verdict
+                assert row.rounds_used == result.rounds_used
+                assert row.correlations == tuple(oracle.history[0].correlations)
+                if result.rounds_used == 2:
+                    assert row.distance == result.criterion_value
+                else:
+                    assert row.distance is None
+                    assert row.criterion == result.criterion_value
+
+
+class TestSweepInputs:
+    @pytest.mark.parametrize("family", ["edge", "plane"])
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_rejects_empty_grid(self, family, grid):
+        with pytest.raises(ValueError, match="grid"):
+            run_sweep(family, grid=grid)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep("edge", grid=3, jobs=jobs)
+
 
 class TestSweepParallel:
     def test_worker_pool_matches_sequential(self):
@@ -181,6 +213,18 @@ class TestRandomBench:
     def test_margin_positive_for_generic_scenarios(self):
         assert exact_margin(haar_unitary(21)) > 0.0
         assert exact_margin(random_state("mixed", 22)) > 0.0
+
+    @pytest.mark.parametrize(
+        "scenario, margin",
+        [
+            (edge_cc(0.5), 0.425),  # aligned branch: top eigenvalue 1/2 vs epsilon
+            (edge_dc(0.5), 0.075),  # aligned branch: perfect alignment vs epsilon
+            (edge_cc(0.03), 0.09),  # flipped branch: plane gap 0.06 vs delta
+            (plane_cc([1 / 3] * 3), 0.15),  # flipped branch: on the plane, gap 0 vs delta
+        ],
+    )
+    def test_margin_analytic_values(self, scenario, margin):
+        assert abs(exact_margin(scenario) - margin) < 1e-12
 
 
 class TestTetraCheck:

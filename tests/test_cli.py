@@ -115,6 +115,12 @@ class TestSweepCommand:
         assert len(doc["records"]) == 2 * 6
         assert doc["summary"]["mechanisms"]["dc"]["verdict_dc"] == 6
 
+    def test_empty_grid_exits_two(self, capsys):
+        assert main(["sweep", "--family", "edge", "--grid", "0"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
 
 class TestRandomBenchCommand:
     def test_small_run(self, capsys):

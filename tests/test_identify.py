@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qcausal.comb import CommonCause, DirectCause, TwoQubitState, make_oracle, pauli_vector
+from qcausal.bench import _edge_grid, _plane_grid
+from qcausal.comb import (
+    CommonCause,
+    DirectCause,
+    TwoQubitState,
+    correlation,
+    make_oracle,
+    pauli_vector,
+)
 from qcausal.geometry import distance, plane_gap
 from qcausal.identify import (
     AlgoConfig,
@@ -142,16 +150,32 @@ class TestIdentify:
         scenarios = [haar_unitary(rng) for _ in range(20)]
         scenarios += [random_state("mixed", rng) for _ in range(20)]
         scenarios += [plane_dc(np.array([1.0, 1.0, 1.0]) / np.sqrt(3))]
-        for scenario in scenarios:
-            result = identify(make_oracle(scenario))
+        sweep_points = list(_edge_grid(5)) + list(_plane_grid(3))
+        sweep_scenarios = [m for _, _, mechs in sweep_points for m in mechs.values()]
+        runs = [(s, 0) for s in scenarios + sweep_scenarios]
+        runs += [(s, 2000) for s in sweep_scenarios]
+        for i, (scenario, shots) in enumerate(runs):
+            oracle = make_oracle(scenario, shots=shots, seed=i)
+            result = identify(oracle)
             assert result.query_count <= 25
-            assert len(result.trail) == result.query_count
+            assert len(oracle.history) == result.query_count
 
     def test_round_one_criterion_matches_trail(self):
         scenario = bell_diagonal([0.0, 0.5, 0.25, 0.25])
-        result = identify(make_oracle(scenario))
-        criteria = [1 - p[2] for _, _, p in result.trail[1:]]
+        oracle = make_oracle(scenario)
+        result = identify(oracle)
+        criteria = [1 - rec.correlations[2] for rec in oracle.history[1:]]
         assert abs(min(criteria) - result.criterion_value) < 1e-12
+
+    def test_counts_reproduce_criterion(self):
+        # the carried counts belong to the query whose criterion was thresholded
+        for scenario, rounds in ((bell_diagonal([0.0, 0.5, 0.25, 0.25]), 1), (plane_dc([0, 0, 1]), 2)):
+            result = identify(make_oracle(scenario, shots=5000, seed=8))
+            assert result.rounds_used == rounds
+            values = [correlation(c) for c in result.counts]
+            expected = 1 - values[2] if rounds == 1 else distance(values, SECOND_ROUND_TARGET)
+            assert abs(expected - result.criterion_value) < 1e-12
+        assert identify(make_oracle(haar_unitary(1))).counts is None
 
     def test_winning_modifier_reported_for_dc_only(self):
         dc = identify(make_oracle(haar_unitary(1)))
@@ -215,11 +239,12 @@ class TestSecondRound:
         for _ in range(25):
             v = rng.normal(size=3)
             axis = v / np.linalg.norm(v)
-            result = identify(make_oracle(plane_dc(axis)))
+            oracle = make_oracle(plane_dc(axis))
+            result = identify(oracle)
             assert result.verdict == "DC"
             assert result.criterion_value < 1e-9
             # the flipped probe of the aligned frame shows the pinned entry
-            assert any(abs(p[2] + 1.0) < 1e-9 for _, _, p in result.trail)
+            assert any(abs(rec.correlations[2] + 1.0) < 1e-9 for rec in oracle.history)
 
     def test_states_stay_far_from_target(self):
         result = identify(make_oracle(bell_diagonal([1.0, 0.0, 0.0, 0.0])))
@@ -273,10 +298,13 @@ class TestConfig:
         assert config.epsilon == 0.075
         assert config.delta == 0.15
         assert abs(config.epsilon_prime - 1 / np.sqrt(3)) < 1e-15
-        assert config.max_rounds == 2
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
             AlgoConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             AlgoConfig(delta=-1.0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            for name in ("epsilon", "delta", "epsilon_prime"):
+                with pytest.raises(ValueError):
+                    AlgoConfig(**{name: bad})
