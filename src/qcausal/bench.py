@@ -16,13 +16,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .comb import Scenario, ShotCounts, make_oracle, pauli_vector
-from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, distance, plane_gap
+from .comb import DirectCause, Scenario, ShotCounts, make_oracle, pauli_vector
+from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, plane_gap
 from .identify import AlgoConfig, SECOND_ROUND_TARGET, alignment_scan, identify
-# Unused here; bound so the per-layer benchmark tracer can wrap them on this module.
+# Unused here; bound so the per-layer benchmark tracer can wrap or count them on this module.
+from .geometry import distance  # noqa: F401
 from .identify import axis_candidates, modifier_from_axis, second_round  # noqa: F401
 from .linalg import pauli
-from .scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, plane_dc, random_state
+from .scenarios import bell_diagonal, edge_cc, edge_dc, haar_unitary, plane_cc, plane_dc, random_state
 
 __all__ = [
     "SweepRecord",
@@ -142,9 +143,9 @@ def bootstrap_errorbars(
 ) -> np.ndarray:
     """Standard deviations of derived quantities under count resampling.
 
-    Counts are resampled multinomially at their empirical frequencies,
-    per-setting correlations are recomputed, and ``derive`` (default: the
-    correlations themselves) maps them to the quantities of interest.
+    Counts are resampled multinomially at their empirical frequencies, and
+    ``derive`` (default: identity) maps the ``(resamples, settings)`` array of
+    recomputed correlations to ``(resamples,)`` or ``(resamples, m)`` quantities.
     """
     counts = list(counts)
     if not counts:
@@ -161,7 +162,7 @@ def bootstrap_errorbars(
     if derive is None:
         values = corr_samples
     else:
-        values = np.stack([np.atleast_1d(np.asarray(derive(row), dtype=float)) for row in corr_samples])
+        values = np.asarray(derive(corr_samples), dtype=float).reshape(resamples, -1)
     return values.std(axis=0, ddof=1)
 
 
@@ -193,14 +194,14 @@ def _evaluate_scenario(scenario, config, shots, seed, resamples):
         rng = np.random.default_rng(bootstrap_seed)
         std_criterion = float(
             bootstrap_errorbars(
-                criterion_counts, derive=lambda c: 1.0 - c[2], resamples=resamples, seed=rng
+                criterion_counts, derive=lambda c: 1.0 - c[:, 2], resamples=resamples, seed=rng
             )[0]
         )
         if dist is not None:
             std_distance = float(
                 bootstrap_errorbars(
                     result.counts,
-                    derive=lambda c: distance(c, SECOND_ROUND_TARGET),
+                    derive=lambda c: np.linalg.norm(c - SECOND_ROUND_TARGET, axis=1),
                     resamples=resamples,
                     seed=rng,
                 )[0]
@@ -273,6 +274,8 @@ def run_sweep(
         raise ValueError(f"grid must be >= 1, got {grid}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if resamples < 100:
+        raise ValueError(f"resamples must be >= 100, got {resamples}")
     if family == "edge":
         grid_iter = _edge_grid(101 if grid is None else int(grid))
     elif family == "plane":
@@ -459,9 +462,6 @@ def run_tetra_check(samples: int, seed=None, tol: float = 1e-7) -> TetraReport:
         worst_cc = max(worst_cc, -min(0.0, float(w)))
         if w < -tol:
             cc_viol += 1
-
-    from .comb import DirectCause
-    from .scenarios import bell_diagonal
 
     pauli_ok = all(
         np.allclose(pauli_vector(DirectCause(pauli(k))), DC_VERTICES[k], atol=1e-9)

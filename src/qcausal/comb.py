@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, kron, pauli, rotation_from_unitary, is_unitary
+from .linalg import DEFAULT_TOL, is_unitary, pauli, rotation_from_unitary, unitary_from_axis_angle
 
 __all__ = [
     "TwoQubitState",
@@ -43,9 +43,12 @@ __all__ = [
 ]
 
 _I2 = pauli(0)
+_PAULIS = np.stack([pauli(k) for k in range(4)])
+_SIGMA = _PAULIS[1:]
 
 #: Outcome order used by joint distributions and shot counts.
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_X, _Y = np.array(OUTCOME_PAIRS, dtype=float).T
 
 
 def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -63,22 +66,37 @@ def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
     return rho
 
 
+def _freeze(obj, **arrays):
+    # derived arrays are stored read-only so no caller can edit a mechanism
+    for name, value in arrays.items():
+        value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """Validated 4x4 density matrix of the X and Y subsystems."""
+    """Validated 4x4 density matrix of the X and Y subsystems.
+
+    Construction also stores the local Bloch vectors ``s`` (X side), ``t``
+    (Y side) and the correlation matrix ``T[k, l] = Tr[rho sigma_k (x) sigma_l]``:
+    for directions ``a``, ``b``, ``p(x, y) = (1 + x a.s + y b.t + x y a^T T b) / 4``.
+    """
 
     rho: np.ndarray
+    s: np.ndarray = field(init=False, repr=False)
+    t: np.ndarray = field(init=False, repr=False)
+    T: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _check_density_matrix(self.rho, 4, "two-qubit state"))
+        rho = _check_density_matrix(self.rho, 4, "two-qubit state")
+        object.__setattr__(self, "rho", rho)
+        # m[a, b] = Tr[rho sigma_a (x) sigma_b], with sigma_0 the identity
+        m = np.einsum("ijkl,aki,blj->ab", rho.reshape(2, 2, 2, 2), _PAULIS, _PAULIS).real
+        _freeze(self, s=m[1:, 0], t=m[0, 1:], T=m[1:, 1:])
 
     def correlation_matrix(self) -> np.ndarray:
-        """3x3 matrix ``T[k, l] = Tr[rho sigma_k (x) sigma_l]``."""
-        t = np.empty((3, 3))
-        for k in range(3):
-            for l in range(3):
-                t[k, l] = np.real(np.trace(self.rho @ kron(pauli(k + 1), pauli(l + 1))))
-        return t
+        """3x3 matrix ``T[k, l] = Tr[rho sigma_k (x) sigma_l]`` (read-only)."""
+        return self.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +104,15 @@ class DirectCause:
     """Mechanism sending the X system through a unitary channel to Y.
 
     The input marginal defaults to the maximally mixed state, the regime in
-    which the X-side repreparation introduces no signaling.
+    which the X-side repreparation introduces no signaling.  Construction
+    also stores the input Bloch vector ``r`` and the rotation ``R`` of the
+    unitary: for directions ``a``, ``b``, ``p(x, y) = (1 + x a.r) (1 + x y b^T R a) / 4``.
     """
 
     unitary: np.ndarray
     input_marginal: np.ndarray = field(default_factory=lambda: 0.5 * _I2)
+    r: np.ndarray = field(init=False, repr=False)
+    R: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
@@ -98,10 +120,10 @@ class DirectCause:
             raise ValueError(f"channel unitary must be 2x2, got shape {u.shape}")
         if not is_unitary(u, DEFAULT_TOL.validation * 10):
             raise ValueError("channel matrix is not unitary within tolerance")
+        rho_in = _check_density_matrix(self.input_marginal, 2, "input marginal")
         object.__setattr__(self, "unitary", u)
-        object.__setattr__(
-            self, "input_marginal", _check_density_matrix(self.input_marginal, 2, "input marginal")
-        )
+        object.__setattr__(self, "input_marginal", rho_in)
+        _freeze(self, r=np.einsum("ij,kji->k", rho_in, _SIGMA).real, R=rotation_from_unitary(u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +203,6 @@ class ShotCounts:
         return self.counts / self.shots
 
 
-_SIGMA = np.stack([pauli(1), pauli(2), pauli(3)])
-
-
 def _projector(direction: np.ndarray, outcome: int) -> np.ndarray:
     n_dot_sigma = np.tensordot(direction, _SIGMA, axes=1)
     return 0.5 * (_I2 + outcome * n_dot_sigma)
@@ -243,21 +262,36 @@ def correlation(src: Union[JointDistribution, ShotCounts]) -> float:
     return float(f[0] + f[3] - f[1] - f[2])
 
 
+def _probability_table(scenario, ox, oy) -> np.ndarray:
+    """Outcome probabilities of the three settings, rows ordered as ``OUTCOME_PAIRS``.
+
+    Setting k measures along ``a = ox[:, k]`` and ``b = oy[:, k]``, and
+    ``p(x, y) = (1 + x mx + y my + x y c) / 4``: ``(mx, my, c)`` is
+    ``(a.s, b.t, a^T T b)`` for a common cause and ``(a.r, c a.r, b^T R a)``
+    for a direct cause, the expansion of ``(1 + x a.r) (1 + x y b^T R a) / 4``.
+    """
+    if isinstance(scenario, DirectCause):
+        mx = scenario.r @ ox
+        c = np.einsum("ik,ij,jk->k", oy, scenario.R, ox)
+        my = mx * c
+    elif isinstance(scenario, CommonCause):
+        state = scenario.state
+        mx, my = state.s @ ox, state.t @ oy
+        c = np.einsum("ik,ij,jk->k", ox, state.T, oy)
+    else:
+        raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
+    probs = 0.25 * (1.0 + np.outer(mx, _X) + np.outer(my, _Y) + np.outer(c, _X * _Y))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 def _measure_vector(scenario, wx, wy, shots, rng):
     """Correlation vector for modifiers (wx, wy); returns counts in sampled mode."""
-    ox = rotation_from_unitary(wx)
-    oy = rotation_from_unitary(wy)
-    values = np.empty(3)
-    counts = [] if shots else None
-    for k in range(3):
-        probs = _joint_probs(scenario, ox[:, k], oy[:, k])
-        if shots:
-            sc = ShotCounts(rng.multinomial(shots, probs), shots)
-            counts.append(sc)
-            values[k] = correlation(sc)
-        else:
-            values[k] = float(probs[0] + probs[3] - probs[1] - probs[2])
-    return values, counts
+    probs = _probability_table(scenario, rotation_from_unitary(wx), rotation_from_unitary(wy))
+    if not shots:
+        return probs[:, 0] + probs[:, 3] - probs[:, 1] - probs[:, 2], None
+    counts = [ShotCounts(rng.multinomial(shots, p), shots) for p in probs]
+    return np.array([correlation(sc) for sc in counts]), counts
 
 
 def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None, shots: int = 0, seed=None) -> np.ndarray:
@@ -270,8 +304,7 @@ def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None, shots: in
     wx = _I2 if modifier_x is None else np.asarray(modifier_x, dtype=complex)
     wy = _I2 if modifier_y is None else np.asarray(modifier_y, dtype=complex)
     rng = np.random.default_rng(seed) if shots else None
-    values, _ = _measure_vector(scenario, wx, wy, int(shots), rng)
-    return values
+    return _measure_vector(scenario, wx, wy, int(shots), rng)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,8 +403,6 @@ def scenario_from_json(doc: dict) -> Scenario:
     body = doc[key]
     try:
         if key == "dc":
-            from .linalg import unitary_from_axis_angle
-
             axis = np.asarray(body["axis"], dtype=float)
             angle = float(body["angle"])
             return DirectCause(unitary_from_axis_angle(axis, angle))

@@ -58,9 +58,9 @@ class AlgoConfig:
     ``epsilon`` is the alignment cutoff (declare direct cause when
     ``1 - C33 < epsilon`` in the aligned frame), ``delta`` the plane-gap
     threshold that triggers the flipped second round, ``epsilon_prime`` the
-    distance cutoff of that round.  The defaults keep ``delta = 2 epsilon``,
-    which guarantees no common cause passing the plane test can also pass
-    the alignment test in exact mode.
+    distance cutoff of that round.  ``delta >= 2 epsilon`` is required (the
+    defaults keep equality): it guarantees no common cause passing the plane
+    test can also pass the alignment test in exact mode.
     """
 
     epsilon: float = 0.075
@@ -71,6 +71,8 @@ class AlgoConfig:
         for v in (self.epsilon, self.delta, self.epsilon_prime):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError("thresholds must be finite and positive")
+        if self.delta < 2 * self.epsilon:
+            raise ValueError(f"delta must be >= 2 * epsilon = {2 * self.epsilon}, got {self.delta}")
 
 
 @dataclass(eq=False)

@@ -62,6 +62,8 @@ _PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
+_SIGMA = np.stack(_PAULI[1:])
+
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -95,7 +97,8 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.input_check) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
+    d = u.conj().T @ u - np.eye(u.shape[0])
+    return float(np.sqrt(np.vdot(d, d).real)) <= tol
 
 
 def unitary_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -137,13 +140,7 @@ def rotation_from_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.nd
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not is_unitary(u, tol.input_check):
         raise ValueError("matrix is not unitary within tolerance")
-    ud = u.conj().T
-    r = np.empty((3, 3))
-    for l in range(3):
-        conj = (u @ _PAULI[l + 1] @ ud).T
-        for k in range(3):
-            r[k, l] = 0.5 * np.sum(_PAULI[k + 1] * conj).real
-    return r
+    return 0.5 * np.einsum("kab,bc,lcd,da->kl", _SIGMA, u, _SIGMA, u.conj().T).real
 
 
 def _quaternion_from_rotation(r: np.ndarray) -> np.ndarray:

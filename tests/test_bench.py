@@ -41,7 +41,7 @@ class TestBootstrap:
     def test_derived_quantities(self):
         counts = [ShotCounts(np.array([250, 250, 250, 250]), 1000)] * 3
         std = bootstrap_errorbars(
-            counts, derive=lambda c: 1.0 - c[2], resamples=200, seed=2
+            counts, derive=lambda c: 1.0 - c[:, 2], resamples=200, seed=2
         )
         assert std.shape == (1,)
         assert 0.0 < std[0] < 0.1
@@ -186,6 +186,15 @@ class TestSweepInputs:
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             run_sweep("edge", grid=3, jobs=jobs)
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_rejects_too_few_resamples(self, shots, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a record was evaluated before the input check")
+
+        monkeypatch.setattr("qcausal.bench._sweep_task", no_work)
+        with pytest.raises(ValueError, match="resamples"):
+            run_sweep("edge", grid=3, shots=shots, resamples=5)
 
 
 class TestSweepParallel:

@@ -59,6 +59,14 @@ class TestIdentifyCommand:
         path = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 1.0}})
         assert main(["identify", path, "--mode", "never"]) == EXIT_ERROR
 
+    def test_delta_below_twice_epsilon_exits_two(self, tmp_path, capsys):
+        # with these thresholds exact mode would call this state a direct cause
+        path = write_json(tmp_path / "cc.json", {"cc_bell_diagonal": [0, 0.5, 0.45, 0.05]})
+        assert main(["identify", path, "--epsilon", "0.3"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
     def test_threshold_flags(self, tmp_path, capsys):
         path = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 2.5}})
         assert main(["identify", path, "--epsilon", "0.02", "--delta", "0.3"]) == EXIT_DC
@@ -114,6 +122,12 @@ class TestSweepCommand:
         doc = json.loads(out.read_text())
         assert len(doc["records"]) == 2 * 6
         assert doc["summary"]["mechanisms"]["dc"]["verdict_dc"] == 6
+
+    def test_too_few_resamples_exits_two(self, capsys):
+        assert main(["sweep", "--family", "edge", "--grid", "3", "--resamples", "5"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
     def test_empty_grid_exits_two(self, capsys):
         assert main(["sweep", "--family", "edge", "--grid", "0"]) == EXIT_ERROR

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal.comb import (
     CommonCause,
@@ -9,6 +11,8 @@ from qcausal.comb import (
     ScenarioFormatError,
     ShotCounts,
     TwoQubitState,
+    _joint_probs,
+    _probability_table,
     correlation,
     exact_joint,
     make_oracle,
@@ -18,6 +22,7 @@ from qcausal.comb import (
     scenario_to_json,
 )
 from qcausal.linalg import kron, pauli, rotation_from_unitary, unitary_from_axis_angle
+from qcausal.scenarios import bell_diagonal
 
 I2 = pauli(0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -299,3 +304,90 @@ class TestScenarioJson:
     def test_malformed_documents(self, doc):
         with pytest.raises(ScenarioFormatError):
             scenario_from_json(doc)
+
+
+# Hypothesis strategies: floats reach the corner cases (zero axis components,
+# angles 0 and pi, zero Bell weights) that seeded sampling rarely hits.
+unit_interval = st.floats(-1.0, 1.0)
+vectors = st.tuples(unit_interval, unit_interval, unit_interval).map(np.array)
+axes = vectors.filter(lambda v: np.linalg.norm(v) > 1e-3)
+unitaries = st.builds(
+    lambda axis, angle, phase: np.exp(1j * phase) * unitary_from_axis_angle(axis, angle),
+    axes,
+    st.floats(0.0, 2 * np.pi),
+    st.floats(0.0, 2 * np.pi),
+)
+
+
+def _input_marginal(v):
+    # Bloch vectors longer than 1 are pulled back to the sphere (pure inputs).
+    v = v / max(1.0, float(np.linalg.norm(v)))
+    return 0.5 * (I2 + np.tensordot(v, np.stack([pauli(k) for k in (1, 2, 3)]), axes=1))
+
+
+def _pure_state(amps):
+    psi = np.asarray(amps[:4]) + 1j * np.asarray(amps[4:])
+    psi = psi / np.linalg.norm(psi)
+    return CommonCause(TwoQubitState(np.outer(psi, psi.conj())))
+
+
+channels = st.builds(
+    lambda u, v: DirectCause(u, _input_marginal(v)),
+    unitaries,
+    axes,  # a nonzero Bloch vector: the input is not maximally mixed
+)
+pure_states = st.lists(unit_interval, min_size=8, max_size=8).filter(
+    lambda a: np.linalg.norm(a) > 1e-3
+).map(_pure_state)
+mixed_states = st.integers(0, 2**32 - 1).map(
+    lambda seed: CommonCause(random_mixed_state(np.random.default_rng(seed)))
+)
+bell_states = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: sum(w) > 1e-3
+).map(lambda w: bell_diagonal(np.asarray(w) / sum(w)))
+mechanisms = st.one_of(channels, pure_states, mixed_states, bell_states)
+
+
+class TestClosedForm:
+    """The oracle's closed form against the projector formula of ``exact_joint``."""
+
+    @settings(deadline=None)
+    @given(mechanisms, unitaries, unitaries)
+    def test_probabilities_match_projectors(self, scenario, wx, wy):
+        ox, oy = rotation_from_unitary(wx), rotation_from_unitary(wy)
+        table = _probability_table(scenario, ox, oy)
+        for k in range(3):
+            np.testing.assert_allclose(
+                table[k], _joint_probs(scenario, ox[:, k], oy[:, k]), rtol=0, atol=1e-12
+            )
+
+    @settings(deadline=None)
+    @given(mechanisms, unitaries, unitaries)
+    def test_correlations_match_exact_joint(self, scenario, wx, wy):
+        values = make_oracle(scenario).query(wx, wy)
+        expected = [
+            correlation(exact_joint(scenario, ObservableSpec(wx, k), ObservableSpec(wy, k)))
+            for k in (1, 2, 3)
+        ]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(st.one_of(pure_states, mixed_states, bell_states))
+    def test_correlation_matrix_matches_traces(self, scenario):
+        np.testing.assert_allclose(
+            scenario.state.correlation_matrix(),
+            correlation_matrix_oracle(scenario.state.rho),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    @settings(deadline=None, max_examples=30)
+    @given(mechanisms, unitaries, unitaries, st.integers(0, 2**32 - 1))
+    def test_sampled_counts_repeat_per_seed(self, scenario, wx, wy, seed):
+        runs = []
+        for _ in range(2):
+            oracle = make_oracle(scenario, shots=1000, seed=seed)
+            oracle.query()
+            oracle.query(wx, wy)
+            runs.append([sc.counts for rec in oracle.history for sc in rec.counts])
+        np.testing.assert_array_equal(runs[0], runs[1])

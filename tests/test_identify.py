@@ -308,3 +308,9 @@ class TestConfig:
             for name in ("epsilon", "delta", "epsilon_prime"):
                 with pytest.raises(ValueError):
                     AlgoConfig(**{name: bad})
+        # delta < 2 * epsilon would let a common cause pass the alignment test
+        with pytest.raises(ValueError, match="delta"):
+            AlgoConfig(epsilon=0.3)
+        with pytest.raises(ValueError, match="delta"):
+            AlgoConfig(epsilon=0.1, delta=0.19)
+        AlgoConfig(epsilon=0.1, delta=0.2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qcausal.linalg import (
@@ -95,6 +97,27 @@ class TestRotationFromUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             rotation_from_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda v: np.linalg.norm(v) > 1e-3
+        ),
+        st.floats(0.0, 2 * np.pi),
+        st.floats(0.0, 2 * np.pi),
+    )
+    def test_matches_trace_loop_and_is_proper(self, axis, angle, phase):
+        u = np.exp(1j * phase) * unitary_from_axis_angle(np.array(axis), angle)
+        r = rotation_from_unitary(u)
+        expected = np.array(
+            [
+                [0.5 * np.trace(pauli(k) @ u @ pauli(l) @ u.conj().T).real for l in (1, 2, 3)]
+                for k in (1, 2, 3)
+            ]
+        )
+        np.testing.assert_allclose(r, expected, rtol=0, atol=1e-12)
+        assert abs(np.linalg.det(r) - 1.0) < 1e-12
+        np.testing.assert_allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-12)
 
 
 class TestAxisAngleFromRotation:
