@@ -409,6 +409,8 @@ def run_random_bench(
     """
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
+    if not np.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
     config = config or AlgoConfig()
     n_dc = n_scenarios // 2
     children = np.random.SeedSequence(seed).spawn(2 * n_scenarios)

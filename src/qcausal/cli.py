@@ -33,8 +33,12 @@ EXIT_CC = 1
 EXIT_ERROR = 2
 
 
-def _env(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
+def _env(name: str, fallback=None, kind=str):
+    text = os.environ.get(ENV_PREFIX + name)
+    try:
+        return fallback if text is None else kind(text)
+    except ValueError:
+        raise ValueError(f"{ENV_PREFIX}{name}={text!r} is not a valid {kind.__name__}") from None
 
 
 def _parse_mode(text: str) -> int:
@@ -51,14 +55,11 @@ def _parse_mode(text: str) -> int:
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--mode", default=_env("MODE", "exact"), help="exact | shots=N")
-    seed_default = _env("SEED")
+    parser.add_argument("--seed", type=int, default=_env("SEED", None, int))
+    parser.add_argument("--epsilon", type=float, default=_env("EPSILON", 0.075, float))
+    parser.add_argument("--delta", type=float, default=_env("DELTA", 0.15, float))
     parser.add_argument(
-        "--seed", type=int, default=None if seed_default is None else int(seed_default)
-    )
-    parser.add_argument("--epsilon", type=float, default=float(_env("EPSILON", 0.075)))
-    parser.add_argument("--delta", type=float, default=float(_env("DELTA", 0.15)))
-    parser.add_argument(
-        "--epsilon-prime", type=float, default=float(_env("EPSILON_PRIME", 1.0 / math.sqrt(3.0)))
+        "--epsilon-prime", type=float, default=_env("EPSILON_PRIME", 1.0 / math.sqrt(3.0), float)
     )
     parser.add_argument("--out", default=_env("OUT"), help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=_env("FORMAT", "csv"))
@@ -193,8 +194,6 @@ def _cmd_tetra_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "sweep": _cmd_sweep,
         "identify": _cmd_identify,
@@ -202,6 +201,8 @@ def main(argv=None) -> int:
         "tetra-check": _cmd_tetra_check,
     }
     try:
+        # inside the guard: the parser reads its defaults from QCAUSAL_* variables
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ScenarioFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

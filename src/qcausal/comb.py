@@ -48,7 +48,9 @@ _SIGMA = _PAULIS[1:]
 
 #: Outcome order used by joint distributions and shot counts.
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-_X, _Y = np.array(OUTCOME_PAIRS, dtype=float).T
+#: Signs of x, y and x y (rows) of each outcome pair (columns).
+_SIGNS = np.array([(x, y, x * y) for x, y in OUTCOME_PAIRS], dtype=float).T
+_QUARTER_SIGNS, _PARITY = 0.25 * _SIGNS, _SIGNS[2]
 
 
 def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -272,26 +274,26 @@ def _probability_table(scenario, ox, oy) -> np.ndarray:
     """
     if isinstance(scenario, DirectCause):
         mx = scenario.r @ ox
-        c = np.einsum("ik,ij,jk->k", oy, scenario.R, ox)
+        c = ((scenario.R @ ox) * oy).sum(axis=0)
         my = mx * c
     elif isinstance(scenario, CommonCause):
         state = scenario.state
         mx, my = state.s @ ox, state.t @ oy
-        c = np.einsum("ik,ij,jk->k", ox, state.T, oy)
+        c = ((state.T @ oy) * ox).sum(axis=0)
     else:
         raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
-    probs = 0.25 * (1.0 + np.outer(mx, _X) + np.outer(my, _Y) + np.outer(c, _X * _Y))
-    probs = np.clip(probs, 0.0, None)
+    probs = np.maximum(0.25 + np.array([mx, my, c]).T @ _QUARTER_SIGNS, 0.0)
     return probs / probs.sum(axis=1, keepdims=True)
 
 
 def _measure_vector(scenario, wx, wy, shots, rng):
     """Correlation vector for modifiers (wx, wy); returns counts in sampled mode."""
-    probs = _probability_table(scenario, rotation_from_unitary(wx), rotation_from_unitary(wy))
+    ox = rotation_from_unitary(wx)
+    probs = _probability_table(scenario, ox, ox if wy is wx else rotation_from_unitary(wy))
     if not shots:
-        return probs[:, 0] + probs[:, 3] - probs[:, 1] - probs[:, 2], None
+        return probs @ _PARITY, None
     counts = [ShotCounts(rng.multinomial(shots, p), shots) for p in probs]
-    return np.array([correlation(sc) for sc in counts]), counts
+    return np.array([sc.counts for sc in counts]) @ _PARITY / shots, counts
 
 
 def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None, shots: int = 0, seed=None) -> np.ndarray:

@@ -25,6 +25,7 @@ from .comb import MeasurementOracle
 from .geometry import distance, plane_gap
 from .linalg import (
     X_AXIS,
+    Y_AXIS,
     Z_AXIS,
     pauli,
     rotation_from_unitary,
@@ -153,19 +154,25 @@ def axis_candidates(p: np.ndarray, tol: float = 1e-9) -> AxisCandidates:
 def modifier_from_axis(axis: np.ndarray) -> np.ndarray:
     """Unitary V with ``V sigma_3 V^dag = axis . sigma``.
 
-    Constructed as the rotation about ``z x axis`` by the angle between the
-    zenith and the axis; the antipodal case falls back to a half-turn about
-    x.
+    Constructed as the rotation about ``z x axis`` by the angle theta between
+    the zenith and the axis, in half-angle form: ``cos(theta/2) I - i (-n_y
+    sigma_x + n_x sigma_y) / (2 cos(theta/2))``.  The antipodal case falls
+    back to a half-turn about x.
     """
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    if n[2] > 1.0 - 1e-12:
+    nx, ny, nz = np.asarray(axis, dtype=float).tolist()
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError("rotation axis must be a nonzero finite vector")
+    nx, ny, nz = nx / norm, ny / norm, nz / norm
+    if nz > 1.0 - 1e-12:
         return _I2.copy()
-    if n[2] < -1.0 + 1e-12:
+    if nz < -1.0 + 1e-12:
         return unitary_from_axis_angle(X_AXIS, np.pi)
-    pivot = np.array([-n[1], n[0], 0.0])
-    pivot /= np.linalg.norm(pivot)
-    return unitary_from_axis_angle(pivot, float(np.arccos(np.clip(n[2], -1.0, 1.0))))
+    # 2 cos^2(theta/2) = 1 + n_z, taken as (n_x^2 + n_y^2) / (1 - n_z) below the
+    # equator, where 1 + n_z would cancel
+    half = math.sqrt(0.5 * (1.0 + nz if nz >= 0.0 else (nx * nx + ny * ny) / (1.0 - nz)))
+    k = 0.5 / half
+    return np.array([[half, complex(-nx * k, ny * k)], [complex(nx * k, ny * k), half]])
 
 
 def _symmetric_correlation_estimate(frames_and_values) -> np.ndarray:
@@ -222,8 +229,13 @@ def _refinement_probe(oracle, p0, entries):
         frame = rotation_from_unitary(e.modifier)
         frames.append((frame, e.correlations))
         tried.append(frame[:, 2])
-    estimate = _symmetric_correlation_estimate(frames)
-    top = np.linalg.eigh(estimate)[1][:, -1]
+    values, vectors = np.linalg.eigh(_symmetric_correlation_estimate(frames))
+    # LAPACK's sign and, in a degenerate top eigenspace, direction follow rounding
+    # noise; the first non-negligible projection of +z, +x, +y onto that space does not
+    span = vectors[:, values >= values[-1] - 1e-9]
+    projections = [span @ (span.T @ e) for e in (Z_AXIS, X_AXIS, Y_AXIS)]
+    top = next(p for p in projections if np.linalg.norm(p) > 1e-6)
+    top = top / np.linalg.norm(top)
     if any(abs(float(top @ t)) > 1.0 - 1e-9 for t in tried):
         return None
     v = modifier_from_axis(top)

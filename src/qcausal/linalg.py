@@ -62,8 +62,6 @@ _PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-_SIGMA = np.stack(_PAULI[1:])
-
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -138,9 +136,22 @@ def rotation_from_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.nd
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u, tol.input_check):
+    (a, b), (c, d) = u.tolist()
+    # Frobenius norm of u^dag u - I, the criterion of ``is_unitary``
+    aa, bb, cc, dd = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
+    off = a.conjugate() * b + c.conjugate() * d
+    err = ((aa + cc - 1.0) ** 2 + (bb + dd - 1.0) ** 2 + 2.0 * abs(off) ** 2) ** 0.5
+    if not err <= tol.input_check:
         raise ValueError("matrix is not unitary within tolerance")
-    return 0.5 * np.einsum("kab,bc,lcd,da->kl", _SIGMA, u, _SIGMA, u.conj().T).real
+    # column l is the Bloch vector (Re m01, -Im m01, (m00 - m11) / 2) of m = u sigma_l u^dag
+    ad, bc = a * d.conjugate(), b * c.conjugate()
+    ab, cd = a * b.conjugate(), c * d.conjugate()
+    x01, y01, z01 = bc + ad, 1j * (bc - ad), a * c.conjugate() - b * d.conjugate()
+    return np.array([
+        [x01.real, y01.real, z01.real],
+        [-x01.imag, -y01.imag, -z01.imag],
+        [ab.real - cd.real, ab.imag - cd.imag, 0.5 * (aa - bb - cc + dd)],
+    ])
 
 
 def _quaternion_from_rotation(r: np.ndarray) -> np.ndarray:

@@ -92,6 +92,16 @@ class TestEnvOverrides:
         assert doc["thresholds"]["epsilon"] == 0.05
 
 
+    @pytest.mark.parametrize("name", ["QCAUSAL_EPSILON", "QCAUSAL_SEED"])
+    def test_malformed_env_exits_two(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        path = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 1.0}})
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"error: {name}=" in captured.err
+        assert captured.out == ""
+
+
 class TestSweepCommand:
     def test_csv_output_with_summary(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -142,6 +152,13 @@ class TestRandomBenchCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total"] == 10
         assert doc["dc_as_cc"] == 0 and doc["cc_as_dc"] == 0
+
+
+    def test_nan_eta_exits_two(self, capsys):
+        assert main(["random-bench", "--scenarios", "4", "--eta", "nan"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error: eta" in captured.err
+        assert captured.out == ""
 
 
 class TestTetraCheckCommand:

@@ -391,3 +391,15 @@ class TestClosedForm:
             oracle.query(wx, wy)
             runs.append([sc.counts for rec in oracle.history for sc in rec.counts])
         np.testing.assert_array_equal(runs[0], runs[1])
+
+    @settings(deadline=None, max_examples=40)
+    @given(mechanisms, unitaries, st.integers(0, 2**32 - 1))
+    def test_same_modifier_object_or_copy_give_identical_bits(self, scenario, v, seed):
+        # query(v, v) builds one frame for both sides; a copy of v builds two
+        exact = make_oracle(scenario)
+        np.testing.assert_array_equal(exact.query(v, v), exact.query(v, v.copy()))
+        same, copied = make_oracle(scenario, 1000, seed), make_oracle(scenario, 1000, seed)
+        for _ in range(2):
+            np.testing.assert_array_equal(same.query(v, v), copied.query(v, v.copy()))
+        counts = [[sc.counts for rec in o.history for sc in rec.counts] for o in (same, copied)]
+        np.testing.assert_array_equal(counts[0], counts[1])

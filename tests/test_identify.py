@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal.bench import _edge_grid, _plane_grid
 from qcausal.comb import (
     CommonCause,
     DirectCause,
+    MeasurementOracle,
     TwoQubitState,
     correlation,
     make_oracle,
@@ -107,6 +112,31 @@ class TestModifierFromAxis:
             target = n[0] * pauli(1) + n[1] * pauli(2) + n[2] * pauli(3)
             np.testing.assert_allclose(v @ pauli(3) @ v.conj().T, target, atol=1e-9)
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            # within 1e-12 of +z or -z the two fixed branches take over
+            st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
+                lambda v: np.linalg.norm(v) > 1e-3 and abs(v[2]) / np.linalg.norm(v) < 1 - 1e-11
+            ),
+            # just above the antipodal branch, where 1 + n_z cancels
+            st.builds(
+                lambda nz, phi: (np.sqrt(1 - nz * nz) * np.cos(phi), np.sqrt(1 - nz * nz) * np.sin(phi), nz),
+                st.floats(-1.0 + 1e-11, -0.999),
+                st.floats(0.0, 2 * np.pi),
+            ),
+        )
+    )
+    def test_maps_zenith_to_axis(self, axis):
+        n = np.asarray(axis) / np.linalg.norm(axis)
+        v = modifier_from_axis(np.asarray(axis))
+        np.testing.assert_allclose(v.conj().T @ v, I2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rotation_from_unitary(v)[:, 2], n, rtol=0, atol=1e-12)
+
+    def test_rejects_zero_axis(self):
+        with pytest.raises(ValueError, match="nonzero finite"):
+            modifier_from_axis(np.zeros(3))
+
 
 class TestIdentify:
     def test_quarter_turn_channel(self):
@@ -182,6 +212,39 @@ class TestIdentify:
         assert dc.winning_modifier is not None
         cc = identify(make_oracle(random_state("mixed", 2)))
         assert cc.winning_modifier is None
+
+
+class _NudgedOracle(MeasurementOracle):
+    """Exact oracle whose results are off by a few ulps, as another rounding order would give."""
+
+    def __init__(self, scenario, seed):
+        super().__init__(scenario)
+        self._nudges = np.random.default_rng(seed)
+
+    def query(self, modifier_x=None, modifier_y=None):
+        values = super().query(modifier_x, modifier_y) * (1 + self._nudges.integers(-2, 3, 3) * 2.2e-16)
+        self.history[-1] = replace(self.history[-1], correlations=values)
+        return values
+
+
+class TestRefinementProbe:
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.1, 0.2, 0.3, 0.4], [0, 0.5, 0.45, 0.05], [0.35, 0.3, 0.3, 0.05], [0.25] * 4],
+    )
+    def test_probe_axis_is_stable_under_rounding(self, weights):
+        scenario = bell_diagonal(weights)
+        plain = make_oracle(scenario)
+        reference = identify(plain)
+        for seed in range(8):
+            nudged = _NudgedOracle(scenario, seed)
+            result = identify(nudged)
+            assert result.verdict == reference.verdict
+            assert result.query_count == reference.query_count
+            assert abs(result.criterion_value - reference.criterion_value) < 1e-12
+            np.testing.assert_allclose(
+                nudged.history[-1].modifier_x, plain.history[-1].modifier_x, rtol=0, atol=1e-9
+            )
 
 
 class TestAlignmentTheorem:

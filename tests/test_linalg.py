@@ -10,6 +10,7 @@ from qcausal.linalg import (
     Y_AXIS,
     Z_AXIS,
     axis_angle_from_rotation,
+    is_unitary,
     kron,
     pauli,
     rotation_from_axis_angle,
@@ -118,6 +119,29 @@ class TestRotationFromUnitary:
         np.testing.assert_allclose(r, expected, rtol=0, atol=1e-12)
         assert abs(np.linalg.det(r) - 1.0) < 1e-12
         np.testing.assert_allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((1.0, -1.0)),
+        st.floats(1e-6, 0.5),
+        st.sampled_from(("grow", "shrink", "shear")),
+    )
+    def test_unitarity_check_agrees_with_is_unitary(self, seed, side, delta, kind):
+        # the distortion puts ||m^dag m - I||_F at b = 1e-6 (1 + side delta)
+        b = 1e-6 * (1.0 + side * delta)
+        u = random_unitary(np.random.default_rng(seed))
+        if kind == "shear":  # u [[1, e], [0, 1]]: norm sqrt(2 e^2 + e^4)
+            m = u @ np.array([[1.0, np.sqrt(b * b / (1.0 + np.sqrt(1.0 + b * b)))], [0.0, 1.0]])
+        else:  # s u: norm sqrt(2) |s^2 - 1|
+            m = u * np.sqrt(1.0 + (1.0 if kind == "grow" else -1.0) * b / np.sqrt(2.0))
+        accepted = is_unitary(m, 1e-6)
+        assert accepted == (side < 0)
+        if accepted:
+            rotation_from_unitary(m)
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                rotation_from_unitary(m)
 
 
 class TestAxisAngleFromRotation:
