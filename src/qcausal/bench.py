@@ -10,7 +10,6 @@ resampling the observed counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -292,6 +291,9 @@ def run_sweep(
     tasks = [t[:6] + (children[i],) + t[7:] for i, t in enumerate(tasks)]
 
     if jobs > 1:
+        # imported here: the process pool costs set-up time on every run otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_sweep_task, tasks, chunksize=8))
     else:

@@ -14,13 +14,15 @@ the only access the identification algorithm gets.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, is_unitary, pauli, rotation_from_unitary, unitary_from_axis_angle
+from .linalg import DEFAULT_TOL, Tolerances, is_unitary, pauli, rotation_from_unitary, unitary_from_axis_angle
 
 __all__ = [
     "TwoQubitState",
@@ -57,6 +59,8 @@ def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got shape {rho.shape}")
+    if dim == 2:
+        return _check_qubit_density_matrix(rho, what)
     if not np.all(np.isfinite(rho)):
         raise ValueError(f"{what} has non-finite entries")
     if np.linalg.norm(rho - rho.conj().T) > DEFAULT_TOL.validation * dim:
@@ -68,11 +72,38 @@ def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
     return rho
 
 
+def _check_qubit_density_matrix(rho: np.ndarray, what: str) -> np.ndarray:
+    # the checks of the general path in scalar form; like ``eigvalsh`` the
+    # eigenvalue test reads the diagonal's real part and the lower triangle
+    (a, b), (c, d) = rho.tolist()
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        raise ValueError(f"{what} has non-finite entries")
+    antihermitian = math.sqrt(4.0 * (a.imag ** 2 + d.imag ** 2) + 2.0 * abs(b - c.conjugate()) ** 2)
+    if antihermitian > DEFAULT_TOL.validation * 2:  # Frobenius norm of rho - rho^dag
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+    trace = a.real + d.real
+    if abs(trace - 1.0) > DEFAULT_TOL.validation * 2:
+        raise ValueError(f"{what} does not have unit trace")
+    if 0.5 * trace - math.hypot(0.5 * (a.real - d.real), abs(c)) < -1e-9:
+        raise ValueError(f"{what} has a negative eigenvalue")
+    return rho
+
+
 def _freeze(obj, **arrays):
     # derived arrays are stored read-only so no caller can edit a mechanism
     for name, value in arrays.items():
         value.setflags(write=False)
         object.__setattr__(obj, name, value)
+
+
+#: Default input marginal of a direct cause, ``0.5 I``, and its Bloch vector:
+#: validated once, shared read-only.
+_MAXIMALLY_MIXED = _check_density_matrix(0.5 * _I2, 2, "input marginal")
+_MAXIMALLY_MIXED_R = np.zeros(3)
+_MAXIMALLY_MIXED.setflags(write=False)
+_MAXIMALLY_MIXED_R.setflags(write=False)
+#: Unitarity bound of a channel matrix (Frobenius norm of ``u^dag u - I``).
+_CHANNEL_TOL = Tolerances(input_check=DEFAULT_TOL.validation * 10)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +137,15 @@ class DirectCause:
     """Mechanism sending the X system through a unitary channel to Y.
 
     The input marginal defaults to the maximally mixed state, the regime in
-    which the X-side repreparation introduces no signaling.  Construction
-    also stores the input Bloch vector ``r`` and the rotation ``R`` of the
-    unitary: for directions ``a``, ``b``, ``p(x, y) = (1 + x a.r) (1 + x y b^T R a) / 4``.
+    which the X-side repreparation introduces no signaling; that default is
+    one shared read-only array, validated once, while a caller-supplied
+    marginal is validated in full.  Construction also stores the input Bloch
+    vector ``r`` and the rotation ``R`` of the unitary: for directions ``a``,
+    ``b``, ``p(x, y) = (1 + x a.r) (1 + x y b^T R a) / 4``.
     """
 
     unitary: np.ndarray
-    input_marginal: np.ndarray = field(default_factory=lambda: 0.5 * _I2)
+    input_marginal: np.ndarray = field(default_factory=lambda: _MAXIMALLY_MIXED)
     r: np.ndarray = field(init=False, repr=False)
     R: np.ndarray = field(init=False, repr=False)
 
@@ -120,12 +153,18 @@ class DirectCause:
         u = np.asarray(self.unitary, dtype=complex)
         if u.shape != (2, 2):
             raise ValueError(f"channel unitary must be 2x2, got shape {u.shape}")
-        if not is_unitary(u, DEFAULT_TOL.validation * 10):
-            raise ValueError("channel matrix is not unitary within tolerance")
-        rho_in = _check_density_matrix(self.input_marginal, 2, "input marginal")
+        try:
+            R = rotation_from_unitary(u, _CHANNEL_TOL)
+        except ValueError:
+            raise ValueError("channel matrix is not unitary within tolerance") from None
         object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "input_marginal", rho_in)
-        _freeze(self, r=np.einsum("ij,kji->k", rho_in, _SIGMA).real, R=rotation_from_unitary(u))
+        if self.input_marginal is _MAXIMALLY_MIXED:
+            object.__setattr__(self, "r", _MAXIMALLY_MIXED_R)
+        else:
+            rho_in = _check_density_matrix(self.input_marginal, 2, "input marginal")
+            object.__setattr__(self, "input_marginal", rho_in)
+            _freeze(self, r=np.einsum("ij,kji->k", rho_in, _SIGMA).real)
+        _freeze(self, R=R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +239,14 @@ class ShotCounts:
             raise ValueError(f"counts sum to {int(c.sum())}, expected {self.shots}")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "shots", int(self.shots))
+
+    @classmethod
+    def _trusted(cls, counts: np.ndarray, shots: int) -> ShotCounts:
+        """Wrap a row just drawn by ``rng.multinomial(shots, p)`` without re-validating it."""
+        sc = object.__new__(cls)
+        object.__setattr__(sc, "counts", counts)
+        object.__setattr__(sc, "shots", shots)
+        return sc
 
     def frequencies(self) -> np.ndarray:
         return self.counts / self.shots
@@ -292,7 +339,7 @@ def _measure_vector(scenario, wx, wy, shots, rng):
     probs = _probability_table(scenario, ox, ox if wy is wx else rotation_from_unitary(wy))
     if not shots:
         return probs @ _PARITY, None
-    counts = [ShotCounts(rng.multinomial(shots, p), shots) for p in probs]
+    counts = [ShotCounts._trusted(rng.multinomial(shots, p), shots) for p in probs]
     return np.array([sc.counts for sc in counts]) @ _PARITY / shots, counts
 
 

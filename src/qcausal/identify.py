@@ -50,6 +50,8 @@ _SX = pauli(1)
 
 #: Correlation vector of the Pauli-z channel, the target of the flipped round.
 SECOND_ROUND_TARGET = np.array([-1.0, -1.0, 1.0])
+#: Plane gaps below ``delta + _PLANE_GUARD`` take the flipped round (see ``AlgoConfig``).
+_PLANE_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,10 @@ class AlgoConfig:
     threshold that triggers the flipped second round, ``epsilon_prime`` the
     distance cutoff of that round.  ``delta >= 2 epsilon`` is required (the
     defaults keep equality): it guarantees no common cause passing the plane
-    test can also pass the alignment test in exact mode.
+    test can also pass the alignment test in exact mode.  With equality the
+    bound is tight, so states on the boundary would be decided by rounding;
+    the plane test therefore sends gaps below ``delta + 1e-12`` (a few hundred
+    ulps) to the flipped round, where the two causes lie far apart.
     """
 
     epsilon: float = 0.075
@@ -156,16 +161,14 @@ def modifier_from_axis(axis: np.ndarray) -> np.ndarray:
 
     Constructed as the rotation about ``z x axis`` by the angle theta between
     the zenith and the axis, in half-angle form: ``cos(theta/2) I - i (-n_y
-    sigma_x + n_x sigma_y) / (2 cos(theta/2))``.  The antipodal case falls
-    back to a half-turn about x.
+    sigma_x + n_x sigma_y) / (2 cos(theta/2))``, exact up to ``n_z = 1``.  The
+    antipodal case falls back to a half-turn about x.
     """
     nx, ny, nz = np.asarray(axis, dtype=float).tolist()
     norm = math.sqrt(nx * nx + ny * ny + nz * nz)
     if not (math.isfinite(norm) and norm > 0.0):
         raise ValueError("rotation axis must be a nonzero finite vector")
     nx, ny, nz = nx / norm, ny / norm, nz / norm
-    if nz > 1.0 - 1e-12:
-        return _I2.copy()
     if nz < -1.0 + 1e-12:
         return unitary_from_axis_angle(X_AXIS, np.pi)
     # 2 cos^2(theta/2) = 1 + n_z, taken as (n_x^2 + n_y^2) / (1 - n_z) below the
@@ -286,7 +289,7 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None) -> Cla
     config = config or AlgoConfig()
     p0 = oracle.query(_I2, _I2)
 
-    if plane_gap(p0) < config.delta:
+    if plane_gap(p0) < config.delta + _PLANE_GUARD:
         best = None
         for axis in axis_candidates(p0).axes:
             result = second_round(oracle, modifier_from_axis(axis), config)

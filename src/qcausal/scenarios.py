@@ -8,6 +8,8 @@ the plane ``sum C_kk = 1`` where the alignment test can be mimicked.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .comb import CommonCause, DirectCause, Scenario, TwoQubitState
@@ -93,11 +95,19 @@ def phase_bell(phi: float) -> Scenario:
 
 
 def haar_unitary_matrix(rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed 2x2 unitary (QR of a complex Ginibre matrix)."""
-    z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """One Haar-distributed 2x2 unitary: the Q of a complex Ginibre matrix Z = QR.
+
+    Q is taken with R's diagonal positive and real, the convention that makes
+    it Haar.  In 2x2 Gram-Schmidt is scalar: the first column is Z's first
+    column normalised, and the second the unit vector orthogonal to it whose
+    phase makes ``R[1, 1] = det(Z) / |Z[:, 0]|`` positive.
+    """
+    (a, b), (c, d) = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))).tolist()
+    norm = math.sqrt(abs(a) ** 2 + abs(c) ** 2)
+    a, c = a / norm, c / norm
+    det = a * d - b * c
+    phase = det / abs(det)
+    return np.array([[a, -phase * c.conjugate()], [c, phase * a.conjugate()]])
 
 
 def haar_unitary(seed=None) -> Scenario:

@@ -21,7 +21,7 @@ from qcausal.comb import (
     scenario_from_json,
     scenario_to_json,
 )
-from qcausal.linalg import kron, pauli, rotation_from_unitary, unitary_from_axis_angle
+from qcausal.linalg import is_unitary, kron, pauli, rotation_from_unitary, unitary_from_axis_angle
 from qcausal.scenarios import bell_diagonal
 
 I2 = pauli(0)
@@ -403,3 +403,102 @@ class TestClosedForm:
             np.testing.assert_array_equal(same.query(v, v), copied.query(v, v.copy()))
         counts = [[sc.counts for rec in o.history for sc in rec.counts] for o in (same, copied)]
         np.testing.assert_array_equal(counts[0], counts[1])
+
+
+def _density_check_reference(rho, what):
+    # the general path of ``_check_density_matrix``, with ``eigvalsh``: the
+    # reference for its scalar 2x2 form
+    if not np.all(np.isfinite(rho)):
+        return f"{what} has non-finite entries"
+    if np.linalg.norm(rho - rho.conj().T) > 2e-9:
+        return f"{what} is not Hermitian within tolerance"
+    if abs(np.trace(rho).real - 1.0) > 2e-9:
+        return f"{what} does not have unit trace"
+    if np.linalg.eigvalsh(rho).min() < -1e-9:
+        return f"{what} has a negative eigenvalue"
+    return None
+
+
+def _perturbed_marginal(seed, p, kind, side, delta, sign, entry):
+    # a valid marginal moved to (1 + side delta) times a tolerance of the check
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng)
+    scale = 1.0 + side * delta
+    eigenvalues = [p, 1.0 - p]
+    if kind == "trace":
+        eigenvalues[1] += sign * 2e-9 * scale
+    elif kind == "eigenvalue":
+        eigenvalues = [-1e-9 * scale, 1.0 + 1e-9 * scale]
+    rho = u @ np.diag(eigenvalues) @ u.conj().T
+    if kind == "hermitian":
+        # an anti-Hermitian term a leaves the Hermitian part; ||rho - rho^dag|| = 2 ||a||
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        a = g - g.conj().T
+        rho = rho + a * (1e-9 * scale / np.linalg.norm(a))
+    elif kind == "nonfinite":
+        rho[divmod(entry, 2)] = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0))[
+            int(p * 4.999)
+        ]
+    return rho
+
+
+class TestCheapConstruction:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+        st.sampled_from(("valid", "hermitian", "trace", "eigenvalue", "nonfinite")),
+        st.sampled_from((1.0, -1.0)),
+        st.floats(1e-4, 0.5),
+        st.sampled_from((1.0, -1.0)),
+        st.integers(0, 3),
+    )
+    def test_scalar_qubit_check_agrees_with_eigvalsh(self, seed, p, kind, side, delta, sign, entry):
+        rho = _perturbed_marginal(seed, p, kind, side, delta, sign, entry)
+        expected = _density_check_reference(rho, "input marginal")
+        if expected is None:
+            DirectCause(I2, rho)
+        else:
+            with pytest.raises(ValueError) as err:
+                DirectCause(I2, rho)
+            assert str(err.value) == expected
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1.0, -1.0)), st.floats(1e-4, 0.5))
+    def test_unitarity_check_agrees_with_is_unitary(self, seed, side, delta):
+        # s u has ||m^dag m - I||_F = sqrt(2) |s^2 - 1| = 1e-8 (1 + side delta)
+        u = random_unitary(np.random.default_rng(seed))
+        m = u * np.sqrt(1.0 + 1e-8 * (1.0 + side * delta) / np.sqrt(2.0))
+        assert is_unitary(m, 1e-8) == (side < 0)
+        if side < 0:
+            DirectCause(m)
+        else:
+            with pytest.raises(ValueError, match="^channel matrix is not unitary within tolerance$"):
+                DirectCause(m)
+
+    def test_default_marginal_is_shared_and_read_only(self):
+        rng = np.random.default_rng(81)
+        for _ in range(20):
+            u = random_unitary(rng)
+            default, explicit = DirectCause(u), DirectCause(u, 0.5 * np.eye(2))
+            assert default.r.tobytes() == explicit.r.tobytes()
+            assert default.R.tobytes() == explicit.R.tobytes()
+            np.testing.assert_array_equal(default.input_marginal, explicit.input_marginal)
+        assert DirectCause(I2).input_marginal is DirectCause(HADAMARD).input_marginal
+        for array in (default.input_marginal, default.r, default.R):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    @settings(deadline=None, max_examples=30)
+    @given(mechanisms, unitaries, unitaries, st.integers(0, 2**32 - 1))
+    def test_oracle_counts_equal_validated_counts(self, scenario, wx, wy, seed):
+        oracle = make_oracle(scenario, shots=1000, seed=seed)
+        oracle.query()
+        oracle.query(wx, wy)
+        for sc in (sc for rec in oracle.history for sc in rec.counts):
+            validated = ShotCounts(sc.counts, sc.shots)
+            assert type(sc) is ShotCounts and type(sc.shots) is int
+            assert sc.counts.dtype == validated.counts.dtype
+            np.testing.assert_array_equal(sc.counts, validated.counts)
+            assert sc.shots == validated.shots

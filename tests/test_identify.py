@@ -31,7 +31,7 @@ from qcausal.linalg import (
     rotation_from_unitary,
     unitary_from_axis_angle,
 )
-from qcausal.scenarios import bell_diagonal, haar_unitary, plane_dc, random_state
+from qcausal.scenarios import bell_diagonal, haar_unitary, haar_unitary_matrix, plane_dc, random_state
 
 I2 = pauli(0)
 SX = pauli(1)
@@ -115,9 +115,16 @@ class TestModifierFromAxis:
     @settings(deadline=None, max_examples=200)
     @given(
         st.one_of(
-            # within 1e-12 of +z or -z the two fixed branches take over
+            # within 1e-12 of -z the fixed antipodal branch takes over
             st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
-                lambda v: np.linalg.norm(v) > 1e-3 and abs(v[2]) / np.linalg.norm(v) < 1 - 1e-11
+                lambda v: np.linalg.norm(v) > 1e-3 and v[2] / np.linalg.norm(v) > -1 + 1e-11
+            ),
+            # within 1e-6 of +z, where the half-angle form needs no special case
+            st.just((0.0, 1e-6, 1.0)),
+            st.builds(
+                lambda t, phi: (np.sin(t) * np.cos(phi), np.sin(t) * np.sin(phi), np.cos(t)),
+                st.floats(0.0, 1e-6),
+                st.floats(0.0, 2 * np.pi),
             ),
             # just above the antipodal branch, where 1 + n_z cancels
             st.builds(
@@ -353,6 +360,28 @@ class TestNoiseStability:
             total += 1
             mismatches += exact != sampled
         assert mismatches <= 1
+
+
+class TestDeltaBoundary:
+    # Unpolarised states T = O diag(d) O^T whose diagonal sums to 1 - delta and whose
+    # top eigenvalue is 1 - delta/2: they sit exactly on the delta = 2 epsilon bound,
+    # so without the plane guard rounding decides (130 of these 900 are then called DC).
+    @pytest.mark.parametrize(
+        "d", [(0.925, 0.0, -0.075), (0.925, -0.0375, -0.0375), (-0.075, 0.925, 0.0)]
+    )
+    def test_rotated_boundary_states_take_the_flipped_round(self, d):
+        paulis = [pauli(k) for k in range(4)]
+        basis = [[np.kron(paulis[k], paulis[l]) for l in (1, 2, 3)] for k in (1, 2, 3)]
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            o = rotation_from_unitary(haar_unitary_matrix(rng))
+            t = o @ np.diag(d) @ o.T
+            rho = (np.eye(4) + sum(t[k, l] * basis[k][l] for k in range(3) for l in range(3))) / 4
+            result = identify(make_oracle(CommonCause(TwoQubitState(rho))))
+            assert result.verdict == "CC"
+            assert result.rounds_used == 2
+            # the flipped round separates the causes far beyond epsilon_prime
+            assert result.criterion_value > 2 * AlgoConfig().epsilon_prime
 
 
 class TestConfig:

@@ -136,6 +136,17 @@ class TestHaarUnitary:
     def test_deterministic(self):
         np.testing.assert_array_equal(haar_unitary(123).unitary, haar_unitary(123).unitary)
 
+    def test_matches_numpy_qr_and_draws(self):
+        for seed in range(1000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = haar_unitary_matrix(rng)
+            z = (ref.normal(size=(2, 2)) + 1j * ref.normal(size=(2, 2))) / np.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            d = np.diagonal(r)
+            np.testing.assert_allclose(u, q * (d / np.abs(d)), rtol=0, atol=1e-13)
+            # same draws: the generators stay in step
+            assert rng.normal() == ref.normal()
+
     def test_rotation_angle_density(self):
         # Haar angles follow (1 - cos t) / pi on [0, pi]; check via chi^2.
         rng = np.random.default_rng(72)
