@@ -102,7 +102,8 @@ class ConfusionMatrix:
             "excluded_cc": self.excluded_cc,
             "included": self.included,
             "total": self.total,
-            "accuracy": self.accuracy,
+            # JSON has no NaN: an ensemble with nothing scored has no accuracy
+            "accuracy": self.accuracy if self.included else None,
         }
 
 
@@ -142,9 +143,15 @@ def bootstrap_errorbars(
 ) -> np.ndarray:
     """Standard deviations of derived quantities under count resampling.
 
-    Counts are resampled multinomially at their empirical frequencies, and
+    Each setting is resampled independently at its empirical frequencies, and
     ``derive`` (default: identity) maps the ``(resamples, settings)`` array of
     recomputed correlations to ``(resamples,)`` or ``(resamples, m)`` quantities.
+
+    A correlation reads only the parity ``n(x=y) - n(x!=y) = 2 * same - shots``,
+    so only ``same`` is drawn, as ``Binomial(shots, f0 + f3)``.  That is the law
+    of ``n0 + n3`` in a ``Multinomial(shots, f)`` resample of the four outcomes,
+    so the resampled correlations are distributed exactly as under the full
+    multinomial bootstrap.
     """
     counts = list(counts)
     if not counts:
@@ -156,8 +163,9 @@ def bootstrap_errorbars(
     rng = np.random.default_rng(seed)
     corr_samples = np.empty((resamples, len(counts)))
     for j, c in enumerate(counts):
-        draws = rng.multinomial(c.shots, c.frequencies(), size=resamples)
-        corr_samples[:, j] = (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / c.shots
+        # one scalar-p call per setting: a broadcast (resamples, settings) draw is slower
+        same = rng.binomial(c.shots, (c.counts[0] + c.counts[3]) / c.shots, size=resamples)
+        corr_samples[:, j] = (2 * same - c.shots) / c.shots
     if derive is None:
         values = corr_samples
     else:
@@ -191,9 +199,10 @@ def _evaluate_scenario(scenario, config, shots, seed, resamples):
     std_distance = None
     if shots:
         rng = np.random.default_rng(bootstrap_seed)
+        # the criterion reads the third setting only, so only it is resampled
         std_criterion = float(
             bootstrap_errorbars(
-                criterion_counts, derive=lambda c: 1.0 - c[:, 2], resamples=resamples, seed=rng
+                criterion_counts[2:], derive=lambda c: 1.0 - c[:, 0], resamples=resamples, seed=rng
             )[0]
         )
         if dist is not None:

@@ -69,6 +69,11 @@ def _config_from(args) -> AlgoConfig:
     return AlgoConfig(epsilon=args.epsilon, delta=args.delta, epsilon_prime=args.epsilon_prime)
 
 
+def _json(doc) -> str:
+    # strict JSON: a NaN or infinity raises instead of printing a bare NaN token
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -128,7 +133,7 @@ def _cmd_sweep(args) -> int:
     if args.format == "csv":
         _emit(sweep_records_to_csv(records), args.out)
         summary_path = (args.out + ".summary.json") if args.out else None
-        text = json.dumps(summary, indent=2) + "\n"
+        text = _json(summary)
         if summary_path:
             with open(summary_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -136,7 +141,7 @@ def _cmd_sweep(args) -> int:
             sys.stdout.write(text)
     else:
         doc = {"summary": summary, "records": [sweep_record_to_dict(r) for r in records]}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json(doc), args.out)
     return 0
 
 
@@ -168,7 +173,7 @@ def _cmd_identify(args) -> int:
             for rec in oracle.history
         ],
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json(doc), args.out)
     return EXIT_DC if result.verdict == "DC" else EXIT_CC
 
 
@@ -182,13 +187,13 @@ def _cmd_random_bench(args) -> int:
         config=_config_from(args),
         cc_kind=args.cc_kind,
     )
-    _emit(json.dumps(cm.to_dict(), indent=2) + "\n", args.out)
+    _emit(_json(cm.to_dict()), args.out)
     return 0
 
 
 def _cmd_tetra_check(args) -> int:
     report = run_tetra_check(args.samples, seed=args.seed)
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+    _emit(_json(report.to_dict()), args.out)
     clean = report.dc_violations == 0 and report.cc_violations == 0
     return 0 if clean and report.pauli_vertices_ok and report.bell_vertices_ok else 1
 

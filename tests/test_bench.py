@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcausal import bench
 from qcausal.bench import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
@@ -13,9 +14,9 @@ from qcausal.bench import (
     sweep_records_to_csv,
     sweep_summary,
 )
-from qcausal.comb import ShotCounts, make_oracle
+from qcausal.comb import ShotCounts, correlation, make_oracle
 from qcausal.geometry import distance
-from qcausal.identify import SECOND_ROUND_TARGET, identify
+from qcausal.identify import SECOND_ROUND_TARGET, AlgoConfig, identify
 from qcausal.scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, random_state
 
 
@@ -54,6 +55,88 @@ class TestBootstrap:
             bootstrap_errorbars([], resamples=200)
         with pytest.raises(ValueError):
             bootstrap_errorbars([ShotCounts(np.zeros(4, dtype=int), 0)], resamples=200)
+
+
+def _multinomial_correlations(counts, resamples, rng):
+    """Reference bootstrap: resample all four outcomes, then take the parity."""
+    out = np.empty((resamples, len(counts)))
+    for j, c in enumerate(counts):
+        draws = rng.multinomial(c.shots, c.frequencies(), size=resamples)
+        out[:, j] = (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / c.shots
+    return out
+
+
+def _std_error_of_std(x):
+    """Standard error of the sample standard deviation, from the fourth moment."""
+    d = x - x.mean()
+    var = d.var()
+    if var == 0.0:
+        return 0.0
+    return np.sqrt(max((d ** 4).mean() - var ** 2, 0.0) / len(x)) / (2.0 * np.sqrt(var))
+
+
+class TestParityBootstrap:
+    def test_law_matches_multinomial_resampling(self):
+        resamples = 20_000
+        tables = [
+            [1000, 0, 0, 0],
+            [0, 1000, 0, 0],
+            [0, 0, 1000, 0],
+            [250, 250, 250, 250],
+            [700, 50, 200, 50],
+            [3, 1, 0, 1],
+        ]
+        counts = [ShotCounts(np.array(t), sum(t)) for t in tables]
+        seen = []
+        std = bootstrap_errorbars(counts, derive=lambda c: seen.append(c) or c, resamples=resamples, seed=3)
+        (new,) = seen
+        assert new.shape == (resamples, len(counts))
+        np.testing.assert_array_equal(std, new.std(axis=0, ddof=1))
+        ref = _multinomial_correlations(counts, resamples, np.random.default_rng(4))
+        for j in range(len(counts)):
+            se_mean = np.hypot(new[:, j].std(), ref[:, j].std()) / np.sqrt(resamples)
+            se_std = np.hypot(_std_error_of_std(new[:, j]), _std_error_of_std(ref[:, j]))
+            assert abs(new[:, j].mean() - ref[:, j].mean()) <= 5 * se_mean + 1e-12
+            assert abs(new[:, j].std() - ref[:, j].std()) <= 5 * se_std + 1e-12
+
+    def test_criterion_pass_reads_the_third_setting_only(self, monkeypatch):
+        calls = []
+        original = bench.bootstrap_errorbars
+
+        def recorder(counts, derive=None, *args, **kwargs):
+            calls.append(list(counts))
+            return original(counts, derive, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "bootstrap_errorbars", recorder)
+        for scenario, rounds in ((edge_cc(0.5), 1), (edge_cc(0.03), 2)):
+            calls.clear()
+            _, rounds_used, criterion, dist, _, std_c, std_d = bench._evaluate_scenario(
+                scenario, AlgoConfig(), 5000, 6, 200
+            )
+            assert rounds_used == rounds
+            assert len(calls) == rounds
+            (third,) = calls[0]
+            assert abs(1.0 - correlation(third) - criterion) < 1e-12
+            if rounds == 2:
+                # the distance reads all three settings of the flipped round
+                assert len(calls[1]) == 3
+                values = [correlation(c) for c in calls[1]]
+                assert abs(distance(values, SECOND_ROUND_TARGET) - dist) < 1e-12
+            assert std_c > 0.0 and (std_d is None) == (rounds == 1)
+
+    def test_sampled_criterion_spread_matches_binomial_prediction(self):
+        shots = 100_000
+        records = run_sweep("plane", grid=4, shots=shots, seed=8)
+        zero = 0
+        for r in records:
+            c33 = 1.0 - r.criterion
+            predicted = np.sqrt(max(1.0 - c33 ** 2, 0.0) / shots)
+            if predicted == 0.0:
+                zero += 1
+                assert r.std_criterion == 0.0
+            else:
+                assert abs(r.std_criterion / predicted - 1.0) < 0.15
+        assert 0 < zero < len(records)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qcausal.bench import TetraReport
 from qcausal.cli import EXIT_CC, EXIT_DC, EXIT_ERROR, main
 
 
@@ -153,6 +154,15 @@ class TestRandomBenchCommand:
         assert doc["total"] == 10
         assert doc["dc_as_cc"] == 0 and doc["cc_as_dc"] == 0
 
+    def test_nothing_scored_writes_strict_json(self, capsys):
+        def reject(name):
+            raise AssertionError(f"non-JSON constant {name} in output")
+
+        # eta 10 exceeds every exact margin, so all four scenarios are excluded
+        assert main(["random-bench", "--scenarios", "4", "--eta", "10", "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["included"] == 0 and doc["total"] == 4
+        assert doc["accuracy"] is None
 
     def test_nan_eta_exits_two(self, capsys):
         assert main(["random-bench", "--scenarios", "4", "--eta", "nan"]) == EXIT_ERROR
@@ -167,3 +177,11 @@ class TestTetraCheckCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["dc_violations"] == 0 and doc["cc_violations"] == 0
         assert doc["pauli_vertices_ok"] and doc["bell_vertices_ok"]
+
+    def test_nan_in_report_exits_two(self, capsys, monkeypatch):
+        report = TetraReport(1, 0, 0, float("nan"), 0.0, True, True)
+        monkeypatch.setattr("qcausal.cli.run_tetra_check", lambda *args, **kwargs: report)
+        assert main(["tetra-check", "--samples", "1"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qcausal.bench import _edge_grid, _plane_grid
 from qcausal.comb import (
@@ -382,6 +383,69 @@ class TestDeltaBoundary:
             assert result.rounds_used == 2
             # the flipped round separates the causes far beyond epsilon_prime
             assert result.criterion_value > 2 * AlgoConfig().epsilon_prime
+
+
+# Scale-free parametrisations: a direction, a ket or a Ginibre matrix means the
+# same mechanism at any nonzero scale, so the filters below drop no mechanism.
+_component = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+def _channel(axis, angle):
+    return DirectCause(unitary_from_axis_angle(np.asarray(axis), angle))
+
+
+def _ginibre_state(entries):
+    g = np.reshape(entries, (2, 4, 4))
+    g = g[0] + 1j * g[1]
+    rho = g @ g.conj().T
+    return CommonCause(TwoQubitState(rho / np.trace(rho).real))
+
+
+def _pure_state(entries):
+    ket = entries[:4] + 1j * entries[4:]
+    ket = ket / np.linalg.norm(ket)
+    return CommonCause(TwoQubitState(np.outer(ket, ket.conj())))
+
+
+_channels = st.builds(
+    _channel,
+    st.tuples(_component, _component, _component).filter(lambda v: np.linalg.norm(v) > 1e-6),
+    st.one_of(st.just(0.0), st.just(np.pi), st.floats(0.0, 2 * np.pi)),
+)
+_states = st.one_of(
+    st.builds(
+        _ginibre_state,
+        arrays(float, 32, elements=_component).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    ),
+    st.builds(
+        _pure_state,
+        arrays(float, 8, elements=_component).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    ),
+    st.builds(
+        lambda w: bell_diagonal(np.asarray(w) / sum(w)),
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=4, max_size=4).filter(
+            lambda w: sum(w) > 1e-6
+        ),
+    ),
+)
+
+
+class TestExactNeverWrong:
+    """Exact mode never misclassifies, within the 25-query budget."""
+
+    @settings(deadline=None, max_examples=250)
+    @given(_channels)
+    def test_channels_are_direct_causes(self, scenario):
+        result = identify(make_oracle(scenario))
+        assert result.verdict == "DC"
+        assert result.query_count <= 25
+
+    @settings(deadline=None, max_examples=250)
+    @given(_states)
+    def test_states_are_common_causes(self, scenario):
+        result = identify(make_oracle(scenario))
+        assert result.verdict == "CC"
+        assert result.query_count <= 25
 
 
 class TestConfig:
