@@ -6,32 +6,17 @@ one generated an observed Pauli correlation, using the geometry of the
 reachable correlation tetrahedra.
 """
 
-from .linalg import (
-    AxisAngle,
-    DEFAULT_TOL,
-    Tolerances,
-    axis_angle_from_rotation,
-    kron,
-    pauli,
-    rotation_from_axis_angle,
-    rotation_from_unitary,
-    unitary_from_axis_angle,
-)
+from .linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
 from .comb import (
     CommonCause,
     DirectCause,
-    JointDistribution,
     MeasurementOracle,
-    ObservableSpec,
     Scenario,
     ShotCounts,
     TwoQubitState,
-    correlation,
-    exact_joint,
     load_scenario,
     make_oracle,
     pauli_vector,
-    sample_counts,
     scenario_from_json,
     scenario_to_json,
 )
@@ -41,11 +26,8 @@ from .geometry import (
     DC_TETRA,
     DC_VERTICES,
     Polytope,
-    RegionLabel,
     barycentric,
-    classify_region,
     distance,
-    member,
     plane_gap,
 )
 from .identify import (
@@ -61,11 +43,9 @@ from .identify import (
 )
 from .scenarios import (
     bell_diagonal,
-    bell_ket,
     edge_cc,
     edge_dc,
     haar_unitary,
-    phase_bell,
     plane_cc,
     plane_dc,
     random_state,

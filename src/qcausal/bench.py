@@ -10,7 +10,7 @@ resampling the observed counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,15 +120,7 @@ class TetraReport:
     bell_vertices_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "dc_violations": self.dc_violations,
-            "cc_violations": self.cc_violations,
-            "worst_dc_weight": self.worst_dc_weight,
-            "worst_cc_weight": self.worst_cc_weight,
-            "pauli_vertices_ok": self.pauli_vertices_ok,
-            "bell_vertices_ok": self.bell_vertices_ok,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +283,16 @@ def run_sweep(
     else:
         raise ValueError(f"unknown sweep family {family!r}")
 
-    tasks = []
-    seeds = np.random.SeedSequence(seed)
-    for param, sort_key, mechanisms in grid_iter:
-        for mechanism in ("dc", "cc"):
-            tasks.append((family, param, sort_key, mechanism, mechanisms[mechanism], shots, None, config, resamples))
-    children = seeds.spawn(len(tasks))
-    tasks = [t[:6] + (children[i],) + t[7:] for i, t in enumerate(tasks)]
+    points = [
+        (param, sort_key, mechanism, mechanisms[mechanism])
+        for param, sort_key, mechanisms in grid_iter
+        for mechanism in ("dc", "cc")
+    ]
+    children = np.random.SeedSequence(seed).spawn(len(points))
+    tasks = [
+        (family, param, sort_key, mechanism, scenario, shots, child, config, resamples)
+        for (param, sort_key, mechanism, scenario), child in zip(points, children)
+    ]
 
     if jobs > 1:
         # imported here: the process pool costs set-up time on every run otherwise
@@ -319,49 +314,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def sweep_record_row(r: SweepRecord) -> tuple:
+    """The raw values of one record, in ``CSV_COLUMNS`` order."""
+    return (
+        r.family, r.param, r.mechanism, *r.correlations, r.rounds_used, r.criterion,
+        r.distance, r.verdict, r.shots, r.std_criterion, r.std_distance,
+    )
+
+
 def sweep_records_to_csv(records: Sequence[SweepRecord]) -> str:
     """Render sweep records as CSV with a versioned schema comment."""
     lines = [f"# schema: {CSV_SCHEMA_VERSION}", CSV_COLUMNS]
-    for r in records:
-        c11, c22, c33 = r.correlations
-        lines.append(
-            ",".join(
-                [
-                    r.family,
-                    r.param,
-                    r.mechanism,
-                    _fmt(c11),
-                    _fmt(c22),
-                    _fmt(c33),
-                    str(r.rounds_used),
-                    _fmt(r.criterion),
-                    _fmt(r.distance),
-                    r.verdict,
-                    str(r.shots),
-                    _fmt(r.std_criterion),
-                    _fmt(r.std_distance),
-                ]
-            )
-        )
+    lines += [",".join(map(_fmt, sweep_record_row(r))) for r in records]
     return "\n".join(lines) + "\n"
 
 
 def sweep_record_to_dict(r: SweepRecord) -> dict:
-    return {
-        "family": r.family,
-        "param": r.param,
-        "mechanism": r.mechanism,
-        "C11": r.correlations[0],
-        "C22": r.correlations[1],
-        "C33": r.correlations[2],
-        "round": r.rounds_used,
-        "criterion": r.criterion,
-        "distance": r.distance,
-        "verdict": r.verdict,
-        "N": r.shots,
-        "std_criterion": r.std_criterion,
-        "std_distance": r.std_distance,
-    }
+    return dict(zip(CSV_COLUMNS.split(","), sweep_record_row(r)))
 
 
 def sweep_summary(records: Sequence[SweepRecord]) -> dict:

@@ -132,13 +132,7 @@ def _cmd_sweep(args) -> int:
     summary = sweep_summary(records)
     if args.format == "csv":
         _emit(sweep_records_to_csv(records), args.out)
-        summary_path = (args.out + ".summary.json") if args.out else None
-        text = _json(summary)
-        if summary_path:
-            with open(summary_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(_json(summary), args.out and args.out + ".summary.json")
     else:
         doc = {"summary": summary, "records": [sweep_record_to_dict(r) for r in records]}
         _emit(_json(doc), args.out)

@@ -22,20 +22,15 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, is_unitary, pauli, rotation_from_unitary, unitary_from_axis_angle
+from .linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
 
 __all__ = [
     "TwoQubitState",
     "DirectCause",
     "CommonCause",
     "Scenario",
-    "ObservableSpec",
-    "JointDistribution",
     "ShotCounts",
     "OUTCOME_PAIRS",
-    "exact_joint",
-    "sample_counts",
-    "correlation",
     "pauli_vector",
     "MeasurementOracle",
     "make_oracle",
@@ -53,6 +48,8 @@ OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 #: Signs of x, y and x y (rows) of each outcome pair (columns).
 _SIGNS = np.array([(x, y, x * y) for x, y in OUTCOME_PAIRS], dtype=float).T
 _QUARTER_SIGNS, _PARITY = 0.25 * _SIGNS, _SIGNS[2]
+#: Residual bound of a validated density matrix, per dimension.
+_VALIDATION_TOL = 1e-9
 
 
 def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -63,9 +60,9 @@ def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
         return _check_qubit_density_matrix(rho, what)
     if not np.all(np.isfinite(rho)):
         raise ValueError(f"{what} has non-finite entries")
-    if np.linalg.norm(rho - rho.conj().T) > DEFAULT_TOL.validation * dim:
+    if np.linalg.norm(rho - rho.conj().T) > _VALIDATION_TOL * dim:
         raise ValueError(f"{what} is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL.validation * dim:
+    if abs(np.trace(rho).real - 1.0) > _VALIDATION_TOL * dim:
         raise ValueError(f"{what} does not have unit trace")
     if np.linalg.eigvalsh(rho).min() < -1e-9:
         raise ValueError(f"{what} has a negative eigenvalue")
@@ -79,10 +76,10 @@ def _check_qubit_density_matrix(rho: np.ndarray, what: str) -> np.ndarray:
     if not all(map(cmath.isfinite, (a, b, c, d))):
         raise ValueError(f"{what} has non-finite entries")
     antihermitian = math.sqrt(4.0 * (a.imag ** 2 + d.imag ** 2) + 2.0 * abs(b - c.conjugate()) ** 2)
-    if antihermitian > DEFAULT_TOL.validation * 2:  # Frobenius norm of rho - rho^dag
+    if antihermitian > _VALIDATION_TOL * 2:  # Frobenius norm of rho - rho^dag
         raise ValueError(f"{what} is not Hermitian within tolerance")
     trace = a.real + d.real
-    if abs(trace - 1.0) > DEFAULT_TOL.validation * 2:
+    if abs(trace - 1.0) > _VALIDATION_TOL * 2:
         raise ValueError(f"{what} does not have unit trace")
     if 0.5 * trace - math.hypot(0.5 * (a.real - d.real), abs(c)) < -1e-9:
         raise ValueError(f"{what} has a negative eigenvalue")
@@ -103,7 +100,7 @@ _MAXIMALLY_MIXED_R = np.zeros(3)
 _MAXIMALLY_MIXED.setflags(write=False)
 _MAXIMALLY_MIXED_R.setflags(write=False)
 #: Unitarity bound of a channel matrix (Frobenius norm of ``u^dag u - I``).
-_CHANNEL_TOL = Tolerances(input_check=DEFAULT_TOL.validation * 10)
+_CHANNEL_TOL = _VALIDATION_TOL * 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +123,6 @@ class TwoQubitState:
         # m[a, b] = Tr[rho sigma_a (x) sigma_b], with sigma_0 the identity
         m = np.einsum("ijkl,aki,blj->ab", rho.reshape(2, 2, 2, 2), _PAULIS, _PAULIS).real
         _freeze(self, s=m[1:, 0], t=m[0, 1:], T=m[1:, 1:])
-
-    def correlation_matrix(self) -> np.ndarray:
-        """3x3 matrix ``T[k, l] = Tr[rho sigma_k (x) sigma_l]`` (read-only)."""
-        return self.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,49 +175,6 @@ Scenario = Union[DirectCause, CommonCause]
 
 
 @dataclass(frozen=True, eq=False)
-class ObservableSpec:
-    """Dichotomic observable ``W sigma_k W^dag`` for a modifier W and k in 1..3."""
-
-    modifier: np.ndarray
-    pauli_index: int
-
-    def __post_init__(self):
-        w = np.asarray(self.modifier, dtype=complex)
-        if w.shape != (2, 2) or not is_unitary(w, DEFAULT_TOL.validation * 10):
-            raise ValueError("observable modifier must be a 2x2 unitary")
-        if self.pauli_index not in (1, 2, 3):
-            raise ValueError(f"Pauli index must be 1..3, got {self.pauli_index!r}")
-        object.__setattr__(self, "modifier", w)
-
-    def bloch_direction(self) -> np.ndarray:
-        """Bloch direction of the +1 eigenstate of the observable."""
-        return rotation_from_unitary(self.modifier)[:, self.pauli_index - 1]
-
-
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Joint outcome probabilities, ordered as ``OUTCOME_PAIRS``."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (4,):
-            raise ValueError(f"expected 4 probabilities, got shape {p.shape}")
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        object.__setattr__(self, "p", np.clip(p, 0.0, None))
-
-    def marginal_x(self) -> np.ndarray:
-        """Probabilities of x = +1, -1."""
-        return np.array([self.p[0] + self.p[1], self.p[2] + self.p[3]])
-
-    def marginal_y(self) -> np.ndarray:
-        """Probabilities of y = +1, -1."""
-        return np.array([self.p[0] + self.p[2], self.p[1] + self.p[3]])
-
-
-@dataclass(frozen=True, eq=False)
 class ShotCounts:
     """Coincidence counts per outcome pair from a finite-shot run."""
 
@@ -250,65 +200,6 @@ class ShotCounts:
 
     def frequencies(self) -> np.ndarray:
         return self.counts / self.shots
-
-
-def _projector(direction: np.ndarray, outcome: int) -> np.ndarray:
-    n_dot_sigma = np.tensordot(direction, _SIGMA, axes=1)
-    return 0.5 * (_I2 + outcome * n_dot_sigma)
-
-
-def _joint_probs(scenario, ax, ay) -> np.ndarray:
-    """Joint probabilities for measurement directions ax (X side), ay (Y side)."""
-    proj_x = {s: _projector(ax, s) for s in (1, -1)}
-    proj_y = {s: _projector(ay, s) for s in (1, -1)}
-    probs = np.empty(4)
-    if isinstance(scenario, DirectCause):
-        u = scenario.unitary
-        ud = u.conj().T
-        for i, (x, y) in enumerate(OUTCOME_PAIRS):
-            if i % 2 == 0:  # propagate each X outcome once
-                px = np.sum(proj_x[x].T * scenario.input_marginal).real
-                propagated = u @ proj_x[x] @ ud
-            probs[i] = px * np.sum(proj_y[y].T * propagated).real
-    elif isinstance(scenario, CommonCause):
-        rho = scenario.state.rho
-        for i, (x, y) in enumerate(OUTCOME_PAIRS):
-            probs[i] = np.sum(np.kron(proj_x[x], proj_y[y]).T * rho).real
-    else:
-        raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
-def exact_joint(scenario: Scenario, obs_x: ObservableSpec, obs_y: ObservableSpec) -> JointDistribution:
-    """Exact joint outcome distribution of the two measurements.
-
-    For a direct cause the X measurement projects, the outcome eigenstate is
-    reprepared, and the channel propagates it to Y:
-    ``p(x, y) = Tr[P_x rho_in] Tr[P_y U P_x U^dag]``.  For a common cause
-    ``p(x, y) = Tr[rho (P_x (x) P_y)]``.
-    """
-    return JointDistribution(_joint_probs(scenario, obs_x.bloch_direction(), obs_y.bloch_direction()))
-
-
-def sample_counts(dist: JointDistribution, shots: int, seed=None) -> ShotCounts:
-    """Draw one multinomial sample of ``shots`` outcomes, deterministic per seed."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(int(shots), dist.p / dist.p.sum())
-    return ShotCounts(counts, int(shots))
-
-
-def correlation(src: Union[JointDistribution, ShotCounts]) -> float:
-    """Same-setting correlation ``p(x = y) - p(x != y)``."""
-    if isinstance(src, JointDistribution):
-        f = src.p
-    elif isinstance(src, ShotCounts):
-        f = src.frequencies()
-    else:
-        raise TypeError(f"expected JointDistribution or ShotCounts, got {type(src).__name__}")
-    return float(f[0] + f[3] - f[1] - f[2])
 
 
 def _probability_table(scenario, ox, oy) -> np.ndarray:

@@ -9,7 +9,6 @@ where the alignment test alone can be fooled.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +19,7 @@ __all__ = [
     "Polytope",
     "DC_TETRA",
     "CC_TETRA",
-    "RegionLabel",
     "barycentric",
-    "member",
-    "classify_region",
     "plane_gap",
     "distance",
 ]
@@ -68,13 +64,6 @@ DC_TETRA = Polytope(DC_VERTICES)
 CC_TETRA = Polytope(CC_VERTICES)
 
 
-class RegionLabel(enum.Enum):
-    DC_ONLY = "dc_only"
-    CC_ONLY = "cc_only"
-    OVERLAP = "overlap"
-    OUTSIDE = "outside"
-
-
 def barycentric(point: np.ndarray, tetra: Polytope) -> np.ndarray:
     """Barycentric weights of ``point`` with respect to the tetrahedron.
 
@@ -89,25 +78,6 @@ def barycentric(point: np.ndarray, tetra: Polytope) -> np.ndarray:
     aug = np.hstack([np.ones((p.shape[0], 1)), p])
     w = aug @ tetra._solve.T
     return w[0] if single else w
-
-
-def member(point: np.ndarray, tetra: Polytope, tol: float = 1e-7):
-    """Whether the point lies in the tetrahedron (all weights >= -tol)."""
-    w = barycentric(point, tetra)
-    return bool(w.min() >= -tol) if w.ndim == 1 else w.min(axis=-1) >= -tol
-
-
-def classify_region(point: np.ndarray, tol: float = 1e-7) -> RegionLabel:
-    """Locate a correlation vector relative to the two tetrahedra."""
-    in_dc = member(point, DC_TETRA, tol)
-    in_cc = member(point, CC_TETRA, tol)
-    if in_dc and in_cc:
-        return RegionLabel.OVERLAP
-    if in_dc:
-        return RegionLabel.DC_ONLY
-    if in_cc:
-        return RegionLabel.CC_ONLY
-    return RegionLabel.OUTSIDE
 
 
 def plane_gap(point: np.ndarray) -> float:

@@ -52,6 +52,8 @@ _SX = pauli(1)
 SECOND_ROUND_TARGET = np.array([-1.0, -1.0, 1.0])
 #: Plane gaps below ``delta + _PLANE_GUARD`` take the flipped round (see ``AlgoConfig``).
 _PLANE_GUARD = 1e-12
+#: ``1 - cos(theta)`` or summed axis weights below this leave +z as the only candidate axis.
+_AXIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class ScanEntry(NamedTuple):
     counts: list | None
 
 
-def axis_candidates(p: np.ndarray, tol: float = 1e-9) -> AxisCandidates:
+def axis_candidates(p: np.ndarray) -> AxisCandidates:
     """Invert the rotation-diagonal relation for all sign classes.
 
     ``cos(theta)`` comes from the trace relation ``sum C_kk = 1 + 2 cos(theta)``
@@ -133,19 +135,17 @@ def axis_candidates(p: np.ndarray, tol: float = 1e-9) -> AxisCandidates:
     """
     p = np.asarray(p, dtype=float)
     cos_theta = float(np.clip((p.sum() - 1.0) / 2.0, -1.0, 1.0))
-    if 1.0 - cos_theta < tol:
+    if 1.0 - cos_theta < _AXIS_TOL:
         return AxisCandidates(cos_theta, [Z_AXIS.copy()])
     weights = np.clip((p - cos_theta) / (1.0 - cos_theta), 0.0, 1.0)
     # Squared components below the dust level would only spawn duplicate
     # sign classes differing by a negligible tilt.
     weights[weights < 1e-12] = 0.0
     total = weights.sum()
-    if total < tol:
+    if total < _AXIS_TOL:
         return AxisCandidates(cos_theta, [Z_AXIS.copy()])
     magnitudes = np.sqrt(weights / total)
     nonzero = [k for k in range(3) if magnitudes[k] > 0.0]
-    if not nonzero:
-        return AxisCandidates(cos_theta, [Z_AXIS.copy()])
     axes = []
     for signs in itertools.product((1.0, -1.0), repeat=len(nonzero) - 1):
         axis = magnitudes.copy()

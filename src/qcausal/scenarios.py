@@ -16,32 +16,23 @@ from .comb import CommonCause, DirectCause, Scenario, TwoQubitState
 from .linalg import unitary_from_axis_angle
 
 __all__ = [
-    "BELL_LABELS",
-    "bell_ket",
     "bell_diagonal",
     "edge_dc",
     "edge_cc",
     "plane_dc",
     "plane_cc",
-    "phase_bell",
     "haar_unitary",
     "haar_unitary_matrix",
     "random_state",
 ]
 
-BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
-
+#: Bell states phi+, phi-, psi+, psi-.
 _BELL_KETS = (
     np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
     np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
     np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
     np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
 )
-
-
-def bell_ket(index: int) -> np.ndarray:
-    """State vector of the Bell state with the given index (order: BELL_LABELS)."""
-    return _BELL_KETS[index].copy()
 
 
 def bell_diagonal(weights) -> CommonCause:
@@ -86,12 +77,6 @@ def plane_cc(weights) -> Scenario:
     if w.shape != (3,) or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("need 3 nonnegative weights summing to 1")
     return bell_diagonal([w[0], w[1], w[2], 0.0])
-
-
-def phase_bell(phi: float) -> Scenario:
-    """Pure state ``(|00> + e^{i phi} |11>) / sqrt(2)``, P = (cos phi, -cos phi, 1)."""
-    ket = np.array([1.0, 0.0, 0.0, np.exp(1j * float(phi))], dtype=complex) / np.sqrt(2)
-    return CommonCause(TwoQubitState(np.outer(ket, ket.conj())))
 
 
 def haar_unitary_matrix(rng: np.random.Generator) -> np.ndarray:

@@ -9,26 +9,19 @@ import time
 import numpy as np
 
 from qcausal.bench import bootstrap_errorbars, run_random_bench, run_sweep
-from qcausal.comb import (
-    DirectCause,
-    ObservableSpec,
-    ShotCounts,
-    exact_joint,
-    make_oracle,
-    pauli_vector,
-)
+from qcausal.comb import DirectCause, ShotCounts, make_oracle, pauli_vector
 from qcausal.geometry import CC_VERTICES, DC_VERTICES
 from qcausal.identify import AlgoConfig, alignment_scan, identify
-from qcausal.linalg import axis_angle_from_rotation, pauli, rotation_from_unitary
+from qcausal.linalg import pauli, rotation_from_unitary
 from qcausal.scenarios import (
     bell_diagonal,
     haar_unitary,
     haar_unitary_matrix,
-    phase_bell,
     plane_cc,
     plane_dc,
     random_state,
 )
+from reference import ObservableSpec, axis_angle_from_rotation, exact_joint, phase_bell
 
 
 def report(num, label, ok, elapsed, detail=""):

@@ -14,10 +14,11 @@ from qcausal.bench import (
     sweep_records_to_csv,
     sweep_summary,
 )
-from qcausal.comb import ShotCounts, correlation, make_oracle
+from qcausal.comb import ShotCounts, make_oracle
 from qcausal.geometry import distance
 from qcausal.identify import SECOND_ROUND_TARGET, AlgoConfig, identify
 from qcausal.scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, random_state
+from reference import correlation
 
 
 class TestBootstrap:

