@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 _I2 = pauli(0)
+_I2.setflags(write=False)  # unmodified queries record this very array in their history
+#: Frame of ``_I2``, computed once; ``_measure_vector`` recognises ``_I2`` by identity.
+_IDENTITY_FRAME = rotation_from_unitary(_I2)
 _PAULIS = np.stack([pauli(k) for k in range(4)])
 _SIGMA = _PAULIS[1:]
 
@@ -198,9 +201,6 @@ class ShotCounts:
         object.__setattr__(sc, "shots", shots)
         return sc
 
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.shots
-
 
 def _probability_table(scenario, ox, oy) -> np.ndarray:
     """Outcome probabilities of the three settings, rows ordered as ``OUTCOME_PAIRS``.
@@ -226,12 +226,14 @@ def _probability_table(scenario, ox, oy) -> np.ndarray:
 
 def _measure_vector(scenario, wx, wy, shots, rng):
     """Correlation vector for modifiers (wx, wy); returns counts in sampled mode."""
-    ox = rotation_from_unitary(wx)
+    ox = _IDENTITY_FRAME if wx is _I2 else rotation_from_unitary(wx)
     probs = _probability_table(scenario, ox, ox if wy is wx else rotation_from_unitary(wy))
     if not shots:
         return probs @ _PARITY, None
-    counts = [ShotCounts._trusted(rng.multinomial(shots, p), shots) for p in probs]
-    return np.array([sc.counts for sc in counts]) @ _PARITY / shots, counts
+    rows = [rng.multinomial(shots, p) for p in probs]
+    # integer parities n0 - n1 - n2 + n3 are exact; the division is the one rounding
+    parities = [n0 - n1 - n2 + n3 for n0, n1, n2, n3 in (row.tolist() for row in rows)]
+    return np.array(parities) / shots, [ShotCounts._trusted(row, shots) for row in rows]
 
 
 def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None, shots: int = 0, seed=None) -> np.ndarray:
@@ -271,7 +273,8 @@ class MeasurementOracle:
             raise ValueError("shots must be >= 0 (0 means exact evaluation)")
         self.__scenario = scenario
         self.shots = int(shots)
-        self._rng = np.random.default_rng(seed)
+        # exact mode draws nothing: skip the OS-entropy read of an unseeded generator
+        self._rng = np.random.default_rng(seed) if shots or seed is not None else None
         self._queries = 0
         self.history: list[OracleRecord] = []
 

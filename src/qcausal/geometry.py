@@ -9,6 +9,7 @@ where the alignment test alone can be fooled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,4 +93,5 @@ def plane_gap(point: np.ndarray) -> float:
 
 def distance(p: np.ndarray, q: np.ndarray) -> float:
     """Euclidean distance between two correlation vectors."""
-    return float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
+    d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    return math.sqrt(d.dot(d))  # the path ``np.linalg.norm`` takes for one real vector

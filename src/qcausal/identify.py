@@ -45,7 +45,6 @@ __all__ = [
     "second_round",
 ]
 
-_I2 = pauli(0)
 _SX = pauli(1)
 
 #: Correlation vector of the Pauli-z channel, the target of the flipped round.
@@ -133,26 +132,28 @@ def axis_candidates(p: np.ndarray) -> AxisCandidates:
     hypotheses.  Axes are enumerated over the component sign patterns modulo
     a global sign; zero components carry no sign.
     """
-    p = np.asarray(p, dtype=float)
-    cos_theta = float(np.clip((p.sum() - 1.0) / 2.0, -1.0, 1.0))
+    # scalar float arithmetic in numpy's order (its 3-element sums run left to right)
+    c1, c2, c3 = np.asarray(p, dtype=float).tolist()
+    cos_theta = min(max((c1 + c2 + c3 - 1.0) / 2.0, -1.0), 1.0)
     if 1.0 - cos_theta < _AXIS_TOL:
         return AxisCandidates(cos_theta, [Z_AXIS.copy()])
-    weights = np.clip((p - cos_theta) / (1.0 - cos_theta), 0.0, 1.0)
-    # Squared components below the dust level would only spawn duplicate
-    # sign classes differing by a negligible tilt.
-    weights[weights < 1e-12] = 0.0
-    total = weights.sum()
+    weights = [min(max((c - cos_theta) / (1.0 - cos_theta), 0.0), 1.0) for c in (c1, c2, c3)]
+    # Squared components below the dust level would only spawn sign classes
+    # differing by a negligible tilt.
+    weights = [0.0 if w < 1e-12 else w for w in weights]
+    total = weights[0] + weights[1] + weights[2]
     if total < _AXIS_TOL:
         return AxisCandidates(cos_theta, [Z_AXIS.copy()])
-    magnitudes = np.sqrt(weights / total)
+    magnitudes = [math.sqrt(w / total) for w in weights]
     nonzero = [k for k in range(3) if magnitudes[k] > 0.0]
+    # No two sign classes are parallel: unclipped weights sum to 1, so the total is at most
+    # 1 + w beside a kept weight w, every squared magnitude is >~ 1e-12 and |dot| < 1 - 2e-12.
     axes = []
     for signs in itertools.product((1.0, -1.0), repeat=len(nonzero) - 1):
         axis = magnitudes.copy()
         for s, k in zip(signs, nonzero[1:]):
             axis[k] *= s
-        if not any(abs(float(axis @ seen)) > 1.0 - 1e-12 for seen in axes):
-            axes.append(axis)
+        axes.append(np.array(axis))
     return AxisCandidates(cos_theta, axes)
 
 
@@ -178,29 +179,22 @@ def modifier_from_axis(axis: np.ndarray) -> np.ndarray:
     return np.array([[half, complex(-nx * k, ny * k)], [complex(nx * k, ny * k), half]])
 
 
-def _symmetric_correlation_estimate(frames_and_values) -> np.ndarray:
+def _symmetric_correlation_estimate(frames: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Least-squares symmetric 3x3 matrix matching the measured quadratic forms.
 
     Every query with frame rotation O constrains ``f^T S f`` for the three
     frame axes f.  Components not touched by any frame get the minimum-norm
     value (zero), so the estimate stays an observational quantity.
     """
-    rows, targets = [], []
-    for frame, values in frames_and_values:
-        for k in range(3):
-            f = frame[:, k]
-            rows.append([
-                f[0] * f[0], f[1] * f[1], f[2] * f[2],
-                2 * f[0] * f[1], 2 * f[0] * f[2], 2 * f[1] * f[2],
-            ])
-            targets.append(values[k])
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(targets), rcond=None)
-    s = np.array([
+    f = frames.transpose(0, 2, 1).reshape(-1, 3)  # one row per frame axis, in query order
+    # columns f0^2, f1^2, f2^2, 2 f0 f1, 2 f0 f2, 2 f1 f2
+    rows = np.concatenate([f * f, 2 * f[:, [0, 0, 1]] * f[:, [1, 2, 2]]], axis=1)
+    sol, *_ = np.linalg.lstsq(rows, values.reshape(-1), rcond=None)
+    return np.array([
         [sol[0], sol[3], sol[4]],
         [sol[3], sol[1], sol[5]],
         [sol[4], sol[5], sol[2]],
     ])
-    return s
 
 
 def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig) -> list[ScanEntry]:
@@ -226,20 +220,21 @@ def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig
 
 
 def _refinement_probe(oracle, p0, entries):
-    frames = [(np.eye(3), p0)]
-    tried = []
-    for e in entries:
-        frame = rotation_from_unitary(e.modifier)
-        frames.append((frame, e.correlations))
-        tried.append(frame[:, 2])
-    values, vectors = np.linalg.eigh(_symmetric_correlation_estimate(frames))
+    frames = [np.eye(3)] + [rotation_from_unitary(e.modifier) for e in entries]
+    estimate = _symmetric_correlation_estimate(
+        np.array(frames), np.array([p0] + [e.correlations for e in entries])
+    )
+    values, vectors = np.linalg.eigh(estimate)
     # LAPACK's sign and, in a degenerate top eigenspace, direction follow rounding
     # noise; the first non-negligible projection of +z, +x, +y onto that space does not
     span = vectors[:, values >= values[-1] - 1e-9]
-    projections = [span @ (span.T @ e) for e in (Z_AXIS, X_AXIS, Y_AXIS)]
-    top = next(p for p in projections if np.linalg.norm(p) > 1e-6)
-    top = top / np.linalg.norm(top)
-    if any(abs(float(top @ t)) > 1.0 - 1e-9 for t in tried):
+    for e in (Z_AXIS, X_AXIS, Y_AXIS):
+        top = span @ (span.T @ e)
+        norm = math.sqrt(top.dot(top))  # as ``np.linalg.norm`` takes it
+        if norm > 1e-6:
+            break
+    top = top / norm
+    if any(abs(float(top @ frame[:, 2])) > 1.0 - 1e-9 for frame in frames[1:]):
         return None
     v = modifier_from_axis(top)
     pv = oracle.query(v, v)
@@ -258,13 +253,14 @@ def second_round(oracle: MeasurementOracle, v1: np.ndarray, config: AlgoConfig |
     """
     config = config or AlgoConfig()
     v1 = np.asarray(v1, dtype=complex)
-    p1 = oracle.query(v1, v1 @ _SX)
+    v1_flip = v1 @ _SX
+    p1 = oracle.query(v1, v1_flip)
     best_dist = np.inf
     best_modifier = best_counts = None
     for axis in axis_candidates(p1).axes:
         v2 = modifier_from_axis(axis)
         wx = v1 @ v2
-        d = distance(oracle.query(wx, v1 @ _SX @ v2), SECOND_ROUND_TARGET)
+        d = distance(oracle.query(wx, v1_flip @ v2), SECOND_ROUND_TARGET)
         if d < best_dist:
             best_dist, best_modifier, best_counts = d, wx, oracle.history[-1].counts
     verdict = "DC" if best_dist < config.epsilon_prime else "CC"
@@ -287,7 +283,7 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None) -> Cla
     through the flipped second round and the distance criterion decides.
     """
     config = config or AlgoConfig()
-    p0 = oracle.query(_I2, _I2)
+    p0 = oracle.query()
 
     if plane_gap(p0) < config.delta + _PLANE_GUARD:
         best = None

@@ -10,24 +10,31 @@ route to something the package computes another way:
   reports axis ``+z``, and at angle ``pi`` the lexicographically larger of
   the two equivalent axes is returned so round trips are deterministic;
 * tetrahedron membership and region labels, from barycentric weights;
-* two named pure states.
+* two named pure states;
+* the array form of ``axis_candidates`` and the row-by-row form of the
+  refinement probe's least-squares estimate, which the package's scalar and
+  one-expression forms must match bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from qcausal.comb import OUTCOME_PAIRS, CommonCause, DirectCause, Scenario, ShotCounts, TwoQubitState
+from qcausal.comb import CommonCause, DirectCause, Scenario, ShotCounts, TwoQubitState
 from qcausal.geometry import CC_TETRA, DC_TETRA, Polytope, barycentric
+from qcausal.identify import _AXIS_TOL, AxisCandidates
 from qcausal.linalg import Z_AXIS, pauli, rotation_from_unitary
 from qcausal.scenarios import _BELL_KETS
 
 _I2 = pauli(0)
 _SIGMA = np.stack([pauli(k) for k in (1, 2, 3)])
+#: Outcome signs +1, -1 along the projector axis of ``_projectors``.
+_OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 class AxisAngle(NamedTuple):
@@ -162,32 +169,33 @@ class JointDistribution:
         return np.array([self.p[0] + self.p[2], self.p[1] + self.p[3]])
 
 
-def _projector(direction: np.ndarray, outcome: int) -> np.ndarray:
-    n_dot_sigma = np.tensordot(direction, _SIGMA, axes=1)
-    return 0.5 * (_I2 + outcome * n_dot_sigma)
+def _projectors(directions: np.ndarray) -> np.ndarray:
+    """``P[..., s]``: projector onto outcome +1 (``s = 0``) or -1 (``s = 1``) along each direction."""
+    n_dot_sigma = np.tensordot(directions, _SIGMA, axes=1)[..., None, :, :]
+    return 0.5 * (_I2 + _OUTCOME_SIGNS * n_dot_sigma)
 
 
 def _joint_probs(scenario, ax, ay) -> np.ndarray:
-    """Joint probabilities for measurement directions ax (X side), ay (Y side)."""
-    proj_x = {s: _projector(ax, s) for s in (1, -1)}
-    proj_y = {s: _projector(ay, s) for s in (1, -1)}
-    probs = np.empty(4)
+    """Joint probabilities for measurement directions ax (X side), ay (Y side).
+
+    ``ax`` and ``ay`` are single directions (result shape ``(4,)``) or stacks
+    of them (``(..., 4)``), ordered as ``OUTCOME_PAIRS``.
+    """
+    proj_x, proj_y = _projectors(ax), _projectors(ay)
     if isinstance(scenario, DirectCause):
+        # p(x, y) = Tr[P_x rho_in] Tr[P_y U P_x U^dag]
         u = scenario.unitary
-        ud = u.conj().T
-        for i, (x, y) in enumerate(OUTCOME_PAIRS):
-            if i % 2 == 0:  # propagate each X outcome once
-                px = np.sum(proj_x[x].T * scenario.input_marginal).real
-                propagated = u @ proj_x[x] @ ud
-            probs[i] = px * np.sum(proj_y[y].T * propagated).real
+        px = np.einsum("...xab,ba->...x", proj_x, scenario.input_marginal).real
+        propagated = u @ proj_x @ u.conj().T
+        probs = px[..., :, None] * np.einsum("...yab,...xba->...xy", proj_y, propagated).real
     elif isinstance(scenario, CommonCause):
-        rho = scenario.state.rho
-        for i, (x, y) in enumerate(OUTCOME_PAIRS):
-            probs[i] = np.sum(np.kron(proj_x[x], proj_y[y]).T * rho).real
+        # p(x, y) = Tr[rho (P_x (x) P_y)], with rho[(a b), (c d)] as rho4[a, b, c, d]
+        rho4 = scenario.state.rho.reshape(2, 2, 2, 2)
+        probs = np.einsum("abcd,...xca,...ydb->...xy", rho4, proj_x, proj_y).real
     else:
         raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    probs = np.clip(probs.reshape(probs.shape[:-2] + (4,)), 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def exact_joint(scenario: Scenario, obs_x: ObservableSpec, obs_y: ObservableSpec) -> JointDistribution:
@@ -201,12 +209,19 @@ def exact_joint(scenario: Scenario, obs_x: ObservableSpec, obs_y: ObservableSpec
     return JointDistribution(_joint_probs(scenario, obs_x.bloch_direction(), obs_y.bloch_direction()))
 
 
+def exact_joints(scenario: Scenario, obs_x, obs_y) -> np.ndarray:
+    """``exact_joint`` of every pair ``(obs_x[i], obs_y[i])`` at once: an ``(n, 4)`` probability array."""
+    ax = np.array([o.bloch_direction() for o in obs_x])
+    ay = np.array([o.bloch_direction() for o in obs_y])
+    return _joint_probs(scenario, ax, ay)
+
+
 def correlation(src: Union[JointDistribution, ShotCounts]) -> float:
     """Same-setting correlation ``p(x = y) - p(x != y)``."""
     if isinstance(src, JointDistribution):
         f = src.p
     elif isinstance(src, ShotCounts):
-        f = src.frequencies()
+        f = src.counts / src.shots
     else:
         raise TypeError(f"expected JointDistribution or ShotCounts, got {type(src).__name__}")
     return float(f[0] + f[3] - f[1] - f[2])
@@ -247,3 +262,45 @@ def phase_bell(phi: float) -> Scenario:
     """Pure state ``(|00> + e^{i phi} |11>) / sqrt(2)``, P = (cos phi, -cos phi, 1)."""
     ket = np.array([1.0, 0.0, 0.0, np.exp(1j * float(phi))], dtype=complex) / np.sqrt(2)
     return CommonCause(TwoQubitState(np.outer(ket, ket.conj())))
+
+
+def axis_candidates(p: np.ndarray) -> AxisCandidates:
+    """``qcausal.identify.axis_candidates`` in numpy array operations."""
+    p = np.asarray(p, dtype=float)
+    cos_theta = float(np.clip((p.sum() - 1.0) / 2.0, -1.0, 1.0))
+    if 1.0 - cos_theta < _AXIS_TOL:
+        return AxisCandidates(cos_theta, [Z_AXIS.copy()])
+    weights = np.clip((p - cos_theta) / (1.0 - cos_theta), 0.0, 1.0)
+    weights[weights < 1e-12] = 0.0
+    total = weights.sum()
+    if total < _AXIS_TOL:
+        return AxisCandidates(cos_theta, [Z_AXIS.copy()])
+    magnitudes = np.sqrt(weights / total)
+    nonzero = [k for k in range(3) if magnitudes[k] > 0.0]
+    axes = []
+    for signs in itertools.product((1.0, -1.0), repeat=len(nonzero) - 1):
+        axis = magnitudes.copy()
+        for s, k in zip(signs, nonzero[1:]):
+            axis[k] *= s
+        if not any(abs(float(axis @ seen)) > 1.0 - 1e-12 for seen in axes):
+            axes.append(axis)
+    return AxisCandidates(cos_theta, axes)
+
+
+def symmetric_correlation_estimate(frames_and_values) -> np.ndarray:
+    """``qcausal.identify._symmetric_correlation_estimate``, one least-squares row per frame axis."""
+    rows, targets = [], []
+    for frame, values in frames_and_values:
+        for k in range(3):
+            f = frame[:, k]
+            rows.append([
+                f[0] * f[0], f[1] * f[1], f[2] * f[2],
+                2 * f[0] * f[1], 2 * f[0] * f[2], 2 * f[1] * f[2],
+            ])
+            targets.append(values[k])
+    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(targets), rcond=None)
+    return np.array([
+        [sol[0], sol[3], sol[4]],
+        [sol[3], sol[1], sol[5]],
+        [sol[4], sol[5], sol[2]],
+    ])

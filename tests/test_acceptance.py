@@ -21,7 +21,7 @@ from qcausal.scenarios import (
     plane_dc,
     random_state,
 )
-from reference import ObservableSpec, axis_angle_from_rotation, exact_joint, phase_bell
+from reference import ObservableSpec, axis_angle_from_rotation, exact_joints, phase_bell
 
 
 def report(num, label, ok, elapsed, detail=""):
@@ -146,20 +146,18 @@ def test_criterion_5_no_signaling_audit():
             scenario = haar_unitary(rng)
         else:
             scenario = random_state("mixed" if i % 4 else "pure", rng)
+        xs, ys = [], []
         for _ in range(10):
             k = int(rng.integers(1, 4))
-            obs_y = ObservableSpec(haar_unitary_matrix(rng), k)
-            base_x = ObservableSpec(haar_unitary_matrix(rng), k)
-            alt_x = ObservableSpec(haar_unitary_matrix(rng), k)
-            my_base = exact_joint(scenario, base_x, obs_y).marginal_y()
-            my_alt = exact_joint(scenario, alt_x, obs_y).marginal_y()
-            worst = max(worst, np.abs(my_base - my_alt).max())
-            obs_x = base_x
-            base_y = obs_y
-            alt_y = ObservableSpec(haar_unitary_matrix(rng), k)
-            mx_base = exact_joint(scenario, obs_x, base_y).marginal_x()
-            mx_alt = exact_joint(scenario, obs_x, alt_y).marginal_x()
-            worst = max(worst, np.abs(mx_base - mx_alt).max())
+            # drawn in the order Y setting, X base, X alternative, Y alternative
+            obs_y, base_x, alt_x, alt_y = (ObservableSpec(haar_unitary_matrix(rng), k) for _ in range(4))
+            xs += [base_x, alt_x, base_x]
+            ys += [obs_y, obs_y, alt_y]
+        # per pair: (base_x, obs_y), (alt_x, obs_y), (base_x, alt_y), all ten pairs in one evaluation
+        p = exact_joints(scenario, xs, ys).reshape(10, 3, 4)
+        my = p[..., [0, 1]] + p[..., [2, 3]]  # p(y = +1), p(y = -1)
+        mx = p[..., [0, 2]] + p[..., [1, 3]]  # p(x = +1), p(x = -1)
+        worst = max(worst, np.abs(my[:, 0] - my[:, 1]).max(), np.abs(mx[:, 0] - mx[:, 2]).max())
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 30.0
     report(5, "remote setting changes never move marginals (1000 scenarios x 10 pairs)",

@@ -62,7 +62,7 @@ def _multinomial_correlations(counts, resamples, rng):
     """Reference bootstrap: resample all four outcomes, then take the parity."""
     out = np.empty((resamples, len(counts)))
     for j, c in enumerate(counts):
-        draws = rng.multinomial(c.shots, c.frequencies(), size=resamples)
+        draws = rng.multinomial(c.shots, c.counts / c.shots, size=resamples)
         out[:, j] = (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / c.shots
     return out
 

@@ -78,7 +78,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             ShotCounts(np.array([1, 2, 3, 4]), 11)
         sc = ShotCounts(np.array([1, 2, 3, 4]), 10)
-        np.testing.assert_allclose(sc.frequencies(), [0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_allclose(sc.counts / sc.shots, [0.1, 0.2, 0.3, 0.4])
 
 
 class TestExactJoint:
@@ -220,6 +220,18 @@ class TestOracle:
         b = make_oracle(DirectCause(HADAMARD), shots=1000, seed=5)
         np.testing.assert_array_equal(a.query(), b.query())
         np.testing.assert_array_equal(a.query(HADAMARD, I2), b.query(HADAMARD, I2))
+
+    def test_exact_oracle_seeds_a_generator_only_when_given_a_seed(self, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or default_rng(seed))
+        make_oracle(DirectCause(I2)).query()
+        assert seeds == []
+        make_oracle(DirectCause(I2), seed=3).query()
+        make_oracle(DirectCause(I2), shots=10).query()
+        assert seeds == [3, None]
+        with pytest.raises(ValueError):
+            make_oracle(DirectCause(I2), seed=-1)
 
     def test_history_keeps_counts(self):
         oracle = make_oracle(DirectCause(I2), shots=500, seed=9)
