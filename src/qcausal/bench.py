@@ -215,27 +215,6 @@ def _evaluate_scenario(scenario, config, shots, seed, resamples):
     return p0, result.rounds_used, criterion, dist, result.verdict, std_criterion, std_distance
 
 
-def _sweep_task(task):
-    family, param, sort_key, mechanism, scenario, shots, seed, config, resamples = task
-    p0, rounds_used, criterion, dist, verdict, std_c, std_d = _evaluate_scenario(
-        scenario, config, shots, seed, resamples
-    )
-    return SweepRecord(
-        family=family,
-        param=param,
-        sort_key=sort_key,
-        mechanism=mechanism,
-        correlations=tuple(float(x) for x in p0),
-        rounds_used=rounds_used,
-        criterion=criterion,
-        distance=dist,
-        verdict=verdict,
-        shots=shots,
-        std_criterion=std_c,
-        std_distance=std_d,
-    )
-
-
 def _edge_grid(points: int):
     for a in np.linspace(0.0, 1.0, points):
         a = float(a)
@@ -267,19 +246,16 @@ def run_sweep(
     seed=None,
     config: AlgoConfig | None = None,
     resamples: int = 1000,
-    jobs: int = 1,
 ) -> list[SweepRecord]:
     """Run one sweep family over its parameter grid, both mechanisms per point.
 
     ``grid`` is the number of edge points (default 101) or the barycentric
     lattice denominator of the plane family (default 10).  Records are
-    returned ordered by parameter then mechanism regardless of scheduling.
+    returned ordered by parameter then mechanism.
     """
     config = config or AlgoConfig()
     if grid is not None and grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")
     if family == "edge":
@@ -295,19 +271,15 @@ def run_sweep(
         for mechanism in ("dc", "cc")
     ]
     children = np.random.SeedSequence(seed).spawn(len(points))
-    tasks = [
-        (family, param, sort_key, mechanism, scenario, shots, child, config, resamples)
-        for (param, sort_key, mechanism, scenario), child in zip(points, children)
-    ]
-
-    if jobs > 1:
-        # imported here: the process pool costs set-up time on every run otherwise
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_sweep_task, tasks, chunksize=8))
-    else:
-        records = [_sweep_task(t) for t in tasks]
+    records = []
+    for (param, sort_key, mechanism, scenario), child in zip(points, children):
+        p0, rounds_used, criterion, dist, verdict, std_c, std_d = _evaluate_scenario(
+            scenario, config, shots, child, resamples
+        )
+        records.append(SweepRecord(
+            family, param, sort_key, mechanism, tuple(float(x) for x in p0), rounds_used,
+            criterion, dist, verdict, shots, std_c, std_d,
+        ))
     records.sort(key=lambda r: (r.family, r.sort_key, r.mechanism))
     return records
 
@@ -397,6 +369,8 @@ def run_random_bench(
         raise ValueError("need at least one scenario")
     if not np.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta}")
+    if cc_kind not in ("mixed", "pure"):
+        raise ValueError(f"cc_kind must be 'pure' or 'mixed', got {cc_kind!r}")
     config = config or AlgoConfig()
     n_dc = n_scenarios // 2
     children = np.random.SeedSequence(seed).spawn(2 * n_scenarios)
@@ -432,7 +406,11 @@ def run_random_bench(
 # Tetrahedron membership audit
 # ---------------------------------------------------------------------------
 
-def run_tetra_check(samples: int, seed=None, tol: float = 1e-7) -> TetraReport:
+#: Most negative barycentric weight the membership audit counts as inside.
+_MEMBERSHIP_TOL = 1e-7
+
+
+def run_tetra_check(samples: int, seed=None) -> TetraReport:
     """Sample mechanisms and audit membership of their correlation vectors."""
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -443,12 +421,12 @@ def run_tetra_check(samples: int, seed=None, tol: float = 1e-7) -> TetraReport:
         p = pauli_vector(haar_unitary(children[2 * i]))
         w = barycentric(p, DC_TETRA).min()
         worst_dc = max(worst_dc, -min(0.0, float(w)))
-        if w < -tol:
+        if w < -_MEMBERSHIP_TOL:
             dc_viol += 1
         p = pauli_vector(random_state("mixed", children[2 * i + 1]))
         w = barycentric(p, CC_TETRA).min()
         worst_cc = max(worst_cc, -min(0.0, float(w)))
-        if w < -tol:
+        if w < -_MEMBERSHIP_TOL:
             cc_viol += 1
 
     pauli_ok = all(

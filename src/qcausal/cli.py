@@ -1,17 +1,18 @@
 """Command-line interface.
 
 Subcommands: ``sweep``, ``identify``, ``random-bench``, ``tetra-check``.
-Common flags (``--mode``, ``--seed``, thresholds, ``--out``, ``--format``)
-can also be supplied through ``QCAUSAL_*`` environment variables; explicit
-flags win.  ``identify`` exits 0 for a direct-cause verdict, 1 for a
-common-cause verdict and 2 on errors.
+Each takes only the flags it reads: every subcommand takes ``--seed`` and
+``--out``, all but ``tetra-check`` take ``--mode`` and the thresholds, and
+only ``sweep`` takes ``--format``.  These common flags can also be supplied
+through ``QCAUSAL_*`` environment variables; explicit flags win.
+``identify`` exits 0 for a direct-cause verdict, 1 for a common-cause
+verdict and 2 on errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -53,16 +54,21 @@ def _parse_mode(text: str) -> int:
     raise ValueError(f"mode must be 'exact' or 'shots=N', got {text!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--mode", default=_env("MODE", "exact"), help="exact | shots=N")
+def _add_seed_and_out(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=_env("SEED", None, int))
-    parser.add_argument("--epsilon", type=float, default=_env("EPSILON", 0.075, float))
-    parser.add_argument("--delta", type=float, default=_env("DELTA", 0.15, float))
-    parser.add_argument(
-        "--epsilon-prime", type=float, default=_env("EPSILON_PRIME", 1.0 / math.sqrt(3.0), float)
-    )
     parser.add_argument("--out", default=_env("OUT"), help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=_env("FORMAT", "csv"))
+
+
+def _add_common(parser: argparse.ArgumentParser):
+    """``--mode``, ``--seed``, ``--out`` and the thresholds, defaulting to ``AlgoConfig``'s."""
+    defaults = AlgoConfig()
+    parser.add_argument("--mode", default=_env("MODE", "exact"), help="exact | shots=N")
+    _add_seed_and_out(parser)
+    parser.add_argument("--epsilon", type=float, default=_env("EPSILON", defaults.epsilon, float))
+    parser.add_argument("--delta", type=float, default=_env("DELTA", defaults.delta, float))
+    parser.add_argument(
+        "--epsilon-prime", type=float, default=_env("EPSILON_PRIME", defaults.epsilon_prime, float)
+    )
 
 
 def _config_from(args) -> AlgoConfig:
@@ -98,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="edge: number of points (default 101); plane: lattice denominator (default 10)",
     )
     p.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples per record")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--format", choices=("csv", "json"), default=_env("FORMAT", "csv"))
     _add_common(p)
 
     p = sub.add_parser("identify", help="classify one scenario file")
@@ -113,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tetra-check", help="membership audit of sampled mechanisms")
     p.add_argument("--samples", type=int, default=10000)
-    _add_common(p)
+    _add_seed_and_out(p)
 
     return parser
 
@@ -127,7 +133,6 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         config=_config_from(args),
         resamples=args.resamples,
-        jobs=args.jobs,
     )
     summary = sweep_summary(records)
     if args.format == "csv":

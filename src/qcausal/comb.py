@@ -14,9 +14,7 @@ the only access the identification algorithm gets.
 
 from __future__ import annotations
 
-import cmath
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -59,8 +57,6 @@ def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got shape {rho.shape}")
-    if dim == 2:
-        return _check_qubit_density_matrix(rho, what)
     if not np.all(np.isfinite(rho)):
         raise ValueError(f"{what} has non-finite entries")
     if np.linalg.norm(rho - rho.conj().T) > _VALIDATION_TOL * dim:
@@ -68,23 +64,6 @@ def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
     if abs(np.trace(rho).real - 1.0) > _VALIDATION_TOL * dim:
         raise ValueError(f"{what} does not have unit trace")
     if np.linalg.eigvalsh(rho).min() < -1e-9:
-        raise ValueError(f"{what} has a negative eigenvalue")
-    return rho
-
-
-def _check_qubit_density_matrix(rho: np.ndarray, what: str) -> np.ndarray:
-    # the checks of the general path in scalar form; like ``eigvalsh`` the
-    # eigenvalue test reads the diagonal's real part and the lower triangle
-    (a, b), (c, d) = rho.tolist()
-    if not all(map(cmath.isfinite, (a, b, c, d))):
-        raise ValueError(f"{what} has non-finite entries")
-    antihermitian = math.sqrt(4.0 * (a.imag ** 2 + d.imag ** 2) + 2.0 * abs(b - c.conjugate()) ** 2)
-    if antihermitian > _VALIDATION_TOL * 2:  # Frobenius norm of rho - rho^dag
-        raise ValueError(f"{what} is not Hermitian within tolerance")
-    trace = a.real + d.real
-    if abs(trace - 1.0) > _VALIDATION_TOL * 2:
-        raise ValueError(f"{what} does not have unit trace")
-    if 0.5 * trace - math.hypot(0.5 * (a.real - d.real), abs(c)) < -1e-9:
         raise ValueError(f"{what} has a negative eigenvalue")
     return rho
 

@@ -266,26 +266,14 @@ class TestSweepInputs:
         with pytest.raises(ValueError, match="grid"):
             run_sweep(family, grid=grid)
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_rejects_jobs_below_one(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            run_sweep("edge", grid=3, jobs=jobs)
-
     @pytest.mark.parametrize("shots", [0, 1000])
     def test_rejects_too_few_resamples(self, shots, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("a record was evaluated before the input check")
 
-        monkeypatch.setattr("qcausal.bench._sweep_task", no_work)
+        monkeypatch.setattr("qcausal.bench._evaluate_scenario", no_work)
         with pytest.raises(ValueError, match="resamples"):
             run_sweep("edge", grid=3, shots=shots, resamples=5)
-
-
-class TestSweepParallel:
-    def test_worker_pool_matches_sequential(self):
-        seq = run_sweep("edge", grid=7, seed=5)
-        par = run_sweep("edge", grid=7, seed=5, jobs=2)
-        assert sweep_records_to_csv(seq) == sweep_records_to_csv(par)
 
 
 class TestRandomBench:
@@ -298,6 +286,14 @@ class TestRandomBench:
         a = run_random_bench(30, shots=1000, eta=0.05, seed=12)
         b = run_random_bench(30, shots=1000, eta=0.05, seed=12)
         assert a.to_dict() == b.to_dict()
+
+    def test_rejects_unknown_cc_kind_before_any_scenario(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a scenario was identified before the input check")
+
+        monkeypatch.setattr("qcausal.bench.identify", no_work)
+        with pytest.raises(ValueError, match="cc_kind"):
+            run_random_bench(1000, cc_kind="bogus")
 
     def test_accuracy_property(self):
         cm = ConfusionMatrix(dc_as_dc=48, dc_as_cc=2, cc_as_dc=1, cc_as_cc=49)

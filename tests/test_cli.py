@@ -197,3 +197,24 @@ class TestTetraCheckCommand:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tetra-check", "--samples", "1", "--mode", "shots=10"],
+            ["tetra-check", "--samples", "1", "--epsilon", "0.3"],
+            ["identify", "{doc}", "--format", "csv"],
+            ["random-bench", "--scenarios", "2", "--format", "json"],
+            ["sweep", "--family", "edge", "--grid", "2", "--jobs", "2"],
+        ],
+    )
+    def test_flag_a_subcommand_does_not_read_exits_two(self, argv, tmp_path, capsys):
+        doc = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 1.0}})
+        with pytest.raises(SystemExit) as exc:
+            main([doc if arg == "{doc}" else arg for arg in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
