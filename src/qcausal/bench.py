@@ -10,6 +10,7 @@ resampling the observed counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -410,6 +411,16 @@ def run_random_bench(
 _MEMBERSHIP_TOL = 1e-7
 
 
+def _audit(p: np.ndarray, tetra) -> tuple[int, float]:
+    """1 if ``p`` lies outside ``tetra``, else 0, and how far its lowest weight falls below 0.
+
+    A NaN weight fails every comparison, so ``not w >= -tol`` counts it as outside;
+    a non-finite weight adds no depth, which keeps the report valid strict JSON.
+    """
+    w = float(barycentric(p, tetra).min())
+    return int(not w >= -_MEMBERSHIP_TOL), (-min(0.0, w) if math.isfinite(w) else 0.0)
+
+
 def run_tetra_check(samples: int, seed=None) -> TetraReport:
     """Sample mechanisms and audit membership of their correlation vectors."""
     if samples < 1:
@@ -418,16 +429,10 @@ def run_tetra_check(samples: int, seed=None) -> TetraReport:
     dc_viol = cc_viol = 0
     worst_dc = worst_cc = 0.0
     for i in range(samples):
-        p = pauli_vector(haar_unitary(children[2 * i]))
-        w = barycentric(p, DC_TETRA).min()
-        worst_dc = max(worst_dc, -min(0.0, float(w)))
-        if w < -_MEMBERSHIP_TOL:
-            dc_viol += 1
-        p = pauli_vector(random_state("mixed", children[2 * i + 1]))
-        w = barycentric(p, CC_TETRA).min()
-        worst_cc = max(worst_cc, -min(0.0, float(w)))
-        if w < -_MEMBERSHIP_TOL:
-            cc_viol += 1
+        outside, depth = _audit(pauli_vector(haar_unitary(children[2 * i])), DC_TETRA)
+        dc_viol, worst_dc = dc_viol + outside, max(worst_dc, depth)
+        outside, depth = _audit(pauli_vector(random_state("mixed", children[2 * i + 1])), CC_TETRA)
+        cc_viol, worst_cc = cc_viol + outside, max(worst_cc, depth)
 
     pauli_ok = all(
         np.allclose(pauli_vector(DirectCause(pauli(k))), DC_VERTICES[k], atol=1e-9)

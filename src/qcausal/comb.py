@@ -100,7 +100,16 @@ class TwoQubitState:
     T: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho = _check_density_matrix(self.rho, 4, "two-qubit state")
+        self._store(_check_density_matrix(self.rho, 4, "two-qubit state"))
+
+    @classmethod
+    def _trusted(cls, rho: np.ndarray) -> TwoQubitState:
+        """Wrap a complex 4x4 density matrix built as one by construction, without re-validating it."""
+        state = object.__new__(cls)
+        state._store(rho)
+        return state
+
+    def _store(self, rho: np.ndarray) -> None:
         object.__setattr__(self, "rho", rho)
         # m[a, b] = Tr[rho sigma_a (x) sigma_b], with sigma_0 the identity
         m = np.einsum("ijkl,aki,blj->ab", rho.reshape(2, 2, 2, 2), _PAULIS, _PAULIS).real
@@ -189,14 +198,18 @@ def _probability_table(scenario, ox, oy) -> np.ndarray:
     ``(a.s, b.t, a^T T b)`` for a common cause and ``(a.r, c a.r, b^T R a)``
     for a direct cause, the expansion of ``(1 + x a.r) (1 + x y b^T R a) / 4``.
     """
+    # Plain settings read the stored data: products with the exact identity frame only
+    # add signed zeros, which ``0.25 + ...`` below absorbs, so the table has the same bytes.
+    plain = ox is _IDENTITY_FRAME and oy is ox
     if isinstance(scenario, DirectCause):
-        mx = scenario.r @ ox
-        c = ((scenario.R @ ox) * oy).sum(axis=0)
+        r, R = scenario.r, scenario.R
+        mx = r if plain else r @ ox
+        c = R.diagonal() if plain else ((R @ ox) * oy).sum(axis=0)
         my = mx * c
     elif isinstance(scenario, CommonCause):
         state = scenario.state
-        mx, my = state.s @ ox, state.t @ oy
-        c = ((state.T @ oy) * ox).sum(axis=0)
+        mx, my = (state.s, state.t) if plain else (state.s @ ox, state.t @ oy)
+        c = state.T.diagonal() if plain else ((state.T @ oy) * ox).sum(axis=0)
     else:
         raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
     probs = np.maximum(0.25 + np.array([mx, my, c]).T @ _QUARTER_SIGNS, 0.0)
@@ -215,17 +228,15 @@ def _measure_vector(scenario, wx, wy, shots, rng):
     return np.array(parities) / shots, [ShotCounts._trusted(row, shots) for row in rows]
 
 
-def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None, shots: int = 0, seed=None) -> np.ndarray:
-    """Correlation vector ``(C11, C22, C33)`` under modified Pauli settings.
+def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None) -> np.ndarray:
+    """Exact correlation vector ``(C11, C22, C33)`` under modified Pauli settings.
 
     Entry ``k`` is the correlation of the observables ``Wx sigma_k Wx^dag``
-    and ``Wy sigma_k Wy^dag``.  With ``shots = 0`` the values are exact;
-    otherwise each setting is estimated from one multinomial sample.
+    and ``Wy sigma_k Wy^dag``.  Sampled estimates come from ``make_oracle``.
     """
     wx = _I2 if modifier_x is None else np.asarray(modifier_x, dtype=complex)
     wy = _I2 if modifier_y is None else np.asarray(modifier_y, dtype=complex)
-    rng = np.random.default_rng(seed) if shots else None
-    return _measure_vector(scenario, wx, wy, int(shots), rng)[0]
+    return _measure_vector(scenario, wx, wy, 0, None)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,13 +72,12 @@ def barycentric(point: np.ndarray, tetra: Polytope) -> np.ndarray:
     sum to 1 and reproduce the point under the vertex combination.
     """
     p = np.asarray(point, dtype=float)
-    single = p.ndim == 1
+    if p.shape == (3,):
+        return np.array([1.0, p[0], p[1], p[2]]) @ tetra._solve.T
     p = np.atleast_2d(p)
     if p.shape[-1] != 3:
         raise ValueError(f"points must have 3 components, got shape {p.shape}")
-    aug = np.hstack([np.ones((p.shape[0], 1)), p])
-    w = aug @ tetra._solve.T
-    return w[0] if single else w
+    return np.hstack([np.ones((p.shape[0], 1)), p]) @ tetra._solve.T
 
 
 def plane_gap(point: np.ndarray) -> float:

@@ -118,4 +118,5 @@ def random_state(kind: str = "mixed", seed=None) -> Scenario:
         rho = rho / np.trace(rho).real
     else:
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-    return CommonCause(TwoQubitState(rho))
+    # Hermitian, unit-trace and positive semidefinite by construction
+    return CommonCause(TwoQubitState._trusted(rho))

@@ -1,8 +1,9 @@
-"""Scalar and fused forms of identify's geometry against their array forms, bit for bit.
+"""Scalar, fused and plain-setting fast paths against their array forms, bit for bit.
 
 Each routine checked here makes fewer numpy calls than its array form but
-performs the same floating-point operations in the same order, so exact and
-seeded outputs do not depend on which form runs.  Results must have the same
+performs the same floating-point operations in the same order, or leaves out
+only products with an exact identity, so exact and seeded outputs do not
+depend on which form runs.  Results must have the same
 bytes as the array form: stricter than ``np.array_equal``, which equates
 ``0.0`` and ``-0.0``.
 """
@@ -13,8 +14,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qcausal import bench
-from qcausal.comb import OUTCOME_PAIRS, make_oracle
-from qcausal.geometry import distance
+from qcausal.comb import (
+    _IDENTITY_FRAME,
+    OUTCOME_PAIRS,
+    CommonCause,
+    DirectCause,
+    TwoQubitState,
+    _probability_table,
+    make_oracle,
+    pauli_vector,
+)
+from qcausal.geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, distance
 from qcausal.identify import SECOND_ROUND_TARGET, _symmetric_correlation_estimate, axis_candidates
 from qcausal.linalg import pauli, rotation_from_unitary
 from qcausal.scenarios import bell_diagonal, edge_cc, haar_unitary, haar_unitary_matrix, random_state
@@ -118,3 +128,47 @@ class TestBootstrapDistance:
     @given(arrays(float, st.tuples(st.integers(1, 40), st.just(3)), elements=component))
     def test_matches_row_norms(self, c):
         assert same_bits(bench._target_distances(c), np.linalg.norm(c - SECOND_ROUND_TARGET, axis=1))
+
+
+def _qubit_state(rng):
+    # Bloch vectors at the centre, on the sphere and inside it
+    n = rng.normal(size=3)
+    r = rng.choice([0.0, 1.0, rng.uniform()]) * n / np.linalg.norm(n)
+    return 0.5 * (pauli(0) + sum(r[k] * pauli(k + 1) for k in range(3)))
+
+
+def _mechanism(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "channel":
+        return haar_unitary(rng)
+    if kind == "channel with a marginal":
+        return DirectCause(haar_unitary_matrix(rng), _qubit_state(rng))
+    if kind == "bell":
+        return bell_diagonal(np.eye(4)[seed % 4])
+    if kind == "product":
+        return CommonCause(TwoQubitState(np.kron(_qubit_state(rng), _qubit_state(rng))))
+    return random_state(kind, rng)
+
+
+class TestPlainSettings:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(["channel", "channel with a marginal", "mixed", "pure", "bell", "product"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stored_data_match_products_with_an_identity(self, kind, seed):
+        # a distinct identity array takes the general path through the 3x3 products
+        scenario = _mechanism(kind, seed)
+        plain = _probability_table(scenario, _IDENTITY_FRAME, _IDENTITY_FRAME)
+        assert same_bits(plain, _probability_table(scenario, np.eye(3), np.eye(3)))
+        assert same_bits(pauli_vector(scenario), pauli_vector(scenario, pauli(0), pauli(0)))
+
+
+class TestOnePointBarycentric:
+    @settings(deadline=None, max_examples=500)
+    @given(
+        st.one_of(st.sampled_from(list(DC_VERTICES) + list(CC_VERTICES)), vectors),
+        st.sampled_from([DC_TETRA, CC_TETRA]),
+    )
+    def test_matches_batch_form(self, p, tetra):
+        assert same_bits(barycentric(p, tetra), barycentric(p[None], tetra)[0])

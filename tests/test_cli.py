@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qcausal import bench
 from qcausal.bench import TetraReport, _fmt
 from qcausal.cli import EXIT_CC, EXIT_DC, EXIT_ERROR, main
 
@@ -188,6 +189,21 @@ class TestTetraCheckCommand:
         assert main(["tetra-check", "--samples", "200", "--seed", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["dc_violations"] == 0 and doc["cc_violations"] == 0
+        assert doc["pauli_vertices_ok"] and doc["bell_vertices_ok"]
+
+    def test_nan_correlation_vector_counts_as_a_violation(self, capsys, monkeypatch):
+        # NaN fails ``w < -tol`` as well as ``w >= -tol``: the audit must not count it as inside
+        exact, calls = bench.pauli_vector, []
+
+        def nan_once(scenario):
+            calls.append(scenario)
+            return np.full(3, np.nan) if len(calls) == 1 else exact(scenario)
+
+        monkeypatch.setattr(bench, "pauli_vector", nan_once)
+        assert main(["tetra-check", "--samples", "50", "--seed", "4"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["dc_violations"], doc["cc_violations"]) == (1, 0)
+        assert 0.0 <= doc["worst_dc_weight"] < 1e-7 and 0.0 <= doc["worst_cc_weight"] < 1e-7
         assert doc["pauli_vertices_ok"] and doc["bell_vertices_ok"]
 
     def test_nan_in_report_exits_two(self, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from qcausal.comb import (
     ScenarioFormatError,
     ShotCounts,
     TwoQubitState,
+    _check_density_matrix,
     _probability_table,
     make_oracle,
     pauli_vector,
@@ -16,7 +17,7 @@ from qcausal.comb import (
     scenario_to_json,
 )
 from qcausal.linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
-from qcausal.scenarios import bell_diagonal
+from qcausal.scenarios import bell_diagonal, random_state
 from reference import JointDistribution, ObservableSpec, _joint_probs, correlation, exact_joint, is_unitary
 
 I2 = pauli(0)
@@ -194,7 +195,7 @@ class TestPauliVector:
                 DirectCause(random_unitary(rng)) if i % 2 else CommonCause(random_mixed_state(rng))
             )
             exact = pauli_vector(scenario)
-            sampled = pauli_vector(scenario, shots=10**6, seed=i)
+            sampled = make_oracle(scenario, shots=10**6, seed=i).query()
             assert np.abs(exact - sampled).max() < 0.01
 
 
@@ -472,6 +473,19 @@ class TestCheapConstruction:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("pure", "mixed")))
+    def test_generated_states_meet_the_full_check(self, seed, kind):
+        # random_state skips the check: its G G^dag / tr and |psi><psi| must pass it anyway
+        rho = random_state(kind, seed).state.rho
+        _check_density_matrix(rho, 4, "two-qubit state")
+        trusted, checked = TwoQubitState._trusted(rho), TwoQubitState(rho)
+        for name in ("s", "t", "T"):
+            got, want = getattr(trusted, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
     @settings(deadline=None, max_examples=30)
     @given(mechanisms, unitaries, unitaries, st.integers(0, 2**32 - 1))
