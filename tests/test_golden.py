@@ -1,0 +1,106 @@
+"""Exact outputs of ``qcausal sweep`` and ``qcausal identify`` against committed goldens.
+
+``tests/golden`` holds the exact-mode outputs that ``tests/golden/regen.py``
+wrote: the edge and plane sweeps (CSV and summary) and ``identify`` on the
+scenario documents of ``documents.json``, with every exit code.  The test
+reruns the same commands and compares at two strengths:
+
+* always: exit codes, verdicts, rounds, query counts and every other
+  non-float field are equal, and every float lies within 1e-12 of its golden
+  (CSV floats are printed with 12 significant digits, so there one unit of the
+  last printed digit is allowed on top);
+* equal bytes, when this process's BLAS ``dot`` fuses multiply and add as the
+  kernel that wrote the goldens does.  A kernel without FMA moves last bits
+  (residues of zero of about 1e-16 in the sweeps), never a verdict or a round.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from golden.regen import GOLDEN, SWEEP_FAMILIES, render
+from qcausal.bench import CSV_COLUMNS
+
+TOL = 1e-12
+_CSV_FLOAT_COLUMNS = {"C11", "C22", "C33", "criterion", "distance", "std_criterion", "std_distance"}
+
+
+def blas_dot_fuses() -> bool:
+    """Whether ``a @ b`` of two 3-vectors rounds once per step, as a chain of fused multiply-adds.
+
+    For this pair the fused chain gives 0.12000000000000001 and the plain
+    left-to-right sum 0.12000000000000002.
+    """
+    a, b = np.array([0.1, 0.1, 0.1]), np.array([0.1, 0.2, 0.9])
+    fused = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        fused = float(Fraction(x) * Fraction(y) + Fraction(fused))
+    return float(a @ b) == fused
+
+
+def _float_mismatch(got: float, want: float, tol: float) -> bool:
+    return not abs(got - want) <= tol
+
+
+def _json_mismatches(got, want, where: str) -> list:
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or list(got) != list(want):
+            return [f"{where}: keys {list(got) if isinstance(got, dict) else got!r} != {list(want)}"]
+        return [m for key in want for m in _json_mismatches(got[key], want[key], f"{where}.{key}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{where}: {got!r} != {want!r}"]
+        return [m for i, (g, w) in enumerate(zip(got, want)) for m in _json_mismatches(g, w, f"{where}[{i}]")]
+    if isinstance(want, float):
+        if isinstance(got, float) and not _float_mismatch(got, want, TOL):
+            return []
+        return [f"{where}: {got!r} != {want!r}"]
+    return [] if type(got) is type(want) and got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+def _printed_unit(value: float) -> float:
+    """One unit of the 12th significant digit, the last one ``_fmt`` prints."""
+    return 10.0 ** (math.floor(math.log10(abs(value))) - 11) if value else 0.0
+
+
+def _csv_mismatches(got: str, want: str, where: str) -> list:
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    if len(got_lines) != len(want_lines) or got_lines[:2] != want_lines[:2]:
+        return [f"{where}: {len(got_lines)} lines or header differ from {len(want_lines)} golden lines"]
+    columns = CSV_COLUMNS.split(",")
+    out = []
+    for n, (g_line, w_line) in enumerate(zip(got_lines[2:], want_lines[2:]), start=3):
+        g_row, w_row = g_line.split(","), w_line.split(",")
+        if len(g_row) != len(w_row):
+            out.append(f"{where}:{n}: {g_line!r} != {w_line!r}")
+            continue
+        for column, g, w in zip(columns, g_row, w_row):
+            if column in _CSV_FLOAT_COLUMNS and g and w:
+                want_value = float(w)
+                if not _float_mismatch(float(g), want_value, TOL + _printed_unit(want_value)):
+                    continue
+            elif g == w:
+                continue
+            out.append(f"{where}:{n} {column}: {g!r} != {w!r}")
+    return out
+
+
+def test_exact_outputs_match_the_goldens(tmp_path):
+    documents = json.loads((GOLDEN / "documents.json").read_text(encoding="utf-8"))
+    codes = render(tmp_path, documents)
+    assert codes == json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    names = [f"{family}.csv{suffix}" for family in SWEEP_FAMILIES for suffix in ("", ".summary.json")]
+    names += [name for name in codes if name.startswith("identify-")]
+    exact_bytes = blas_dot_fuses()
+    mismatches = []
+    for name in names:
+        got, want = (tmp_path / name).read_bytes(), (GOLDEN / name).read_bytes()
+        if exact_bytes:
+            mismatches += [] if got == want else [f"{name}: bytes differ"]
+        elif name.endswith(".csv"):
+            mismatches += _csv_mismatches(got.decode(), want.decode(), name)
+        else:
+            mismatches += _json_mismatches(json.loads(got), json.loads(want), name)
+    assert not mismatches, "\n".join(mismatches[:20])
