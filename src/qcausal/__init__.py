@@ -25,7 +25,6 @@ from .geometry import (
     CC_VERTICES,
     DC_TETRA,
     DC_VERTICES,
-    Polytope,
     barycentric,
     distance,
     plane_gap,

@@ -265,17 +265,15 @@ class MeasurementOracle:
         self.shots = int(shots)
         # exact mode draws nothing: skip the OS-entropy read of an unseeded generator
         self._rng = np.random.default_rng(seed) if shots or seed is not None else None
-        self._queries = 0
         self.history: list[OracleRecord] = []
 
     @property
     def query_count(self) -> int:
-        return self._queries
+        return len(self.history)
 
     def query(self, modifier_x=None, modifier_y=None) -> np.ndarray:
         wx = _I2 if modifier_x is None else np.asarray(modifier_x, dtype=complex)
         wy = _I2 if modifier_y is None else np.asarray(modifier_y, dtype=complex)
-        self._queries += 1
         values, counts = _measure_vector(self.__scenario, wx, wy, self.shots, self._rng)
         self.history.append(OracleRecord(wx, wy, values, counts))
         return values

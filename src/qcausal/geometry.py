@@ -10,14 +10,12 @@ where the alignment test alone can be fooled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DC_VERTICES",
     "CC_VERTICES",
-    "Polytope",
     "DC_TETRA",
     "CC_TETRA",
     "barycentric",
@@ -42,42 +40,20 @@ CC_VERTICES = np.array([
 ])
 
 
-@dataclass(frozen=True, eq=False)
-class Polytope:
-    """Tetrahedron given by four affinely independent vertices."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.shape != (4, 3):
-            raise ValueError(f"expected 4 vertices in R^3, got shape {v.shape}")
-        edges = v[1:] - v[0]
-        if abs(np.linalg.det(edges)) < 1e-12:
-            raise ValueError("vertices are affinely dependent (degenerate tetrahedron)")
-        object.__setattr__(self, "vertices", v)
-        # Maps [1, P] to barycentric weights; cached for batch evaluation.
-        m = np.vstack([np.ones(4), v.T])
-        object.__setattr__(self, "_solve", np.linalg.inv(m))
+#: Read-only barycentric maps, the transposed inverses of the columns ``[1, v_i]``:
+#: ``[1, C11, C22, C33] @ DC_TETRA`` weighs the Pauli channels, ``@ CC_TETRA`` the Bell states.
+DC_TETRA = np.linalg.inv(np.vstack([np.ones(4), DC_VERTICES.T])).T
+CC_TETRA = np.linalg.inv(np.vstack([np.ones(4), CC_VERTICES.T])).T
+DC_TETRA.flags.writeable = CC_TETRA.flags.writeable = False
 
 
-DC_TETRA = Polytope(DC_VERTICES)
-CC_TETRA = Polytope(CC_VERTICES)
+def barycentric(point: np.ndarray, tetra: np.ndarray) -> np.ndarray:
+    """Barycentric weights of one point in a tetrahedron, given by its map ``DC_TETRA`` or ``CC_TETRA``.
 
-
-def barycentric(point: np.ndarray, tetra: Polytope) -> np.ndarray:
-    """Barycentric weights of ``point`` with respect to the tetrahedron.
-
-    Accepts a single point of shape (3,) or a batch of shape (n, 3); weights
-    sum to 1 and reproduce the point under the vertex combination.
+    The weights sum to 1 and reproduce the point under the vertex combination.
     """
     p = np.asarray(point, dtype=float)
-    if p.shape == (3,):
-        return np.array([1.0, p[0], p[1], p[2]]) @ tetra._solve.T
-    p = np.atleast_2d(p)
-    if p.shape[-1] != 3:
-        raise ValueError(f"points must have 3 components, got shape {p.shape}")
-    return np.hstack([np.ones((p.shape[0], 1)), p]) @ tetra._solve.T
+    return np.array([1.0, p[0], p[1], p[2]]) @ tetra
 
 
 def plane_gap(point: np.ndarray) -> float:

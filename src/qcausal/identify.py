@@ -68,6 +68,8 @@ class AlgoConfig:
     bound is tight, so states on the boundary would be decided by rounding;
     the plane test therefore sends gaps below ``delta + 1e-12`` (a few hundred
     ulps) to the flipped round, where the two causes lie far apart.
+    ``epsilon_prime < 2/sqrt(3)``, the closest any common cause comes to
+    ``(-1, -1, 1)`` there, is required too.
     """
 
     epsilon: float = 0.075
@@ -80,18 +82,16 @@ class AlgoConfig:
                 raise ValueError("thresholds must be finite and positive")
         if self.delta < 2 * self.epsilon:
             raise ValueError(f"delta must be >= 2 * epsilon = {2 * self.epsilon}, got {self.delta}")
+        if self.epsilon_prime >= 2.0 / math.sqrt(3.0):
+            raise ValueError(f"epsilon_prime must be < 2 / sqrt(3), got {self.epsilon_prime}")
 
 
 @dataclass(eq=False)
 class AxisCandidates:
-    """Rotation-axis hypotheses consistent with a correlation vector."""
+    """Rotation-axis hypotheses consistent with a correlation vector: 1, 2 or 4 unit axes."""
 
     cos_theta: float
     axes: list
-
-    def __post_init__(self):
-        if not 1 <= len(self.axes) <= 4:
-            raise ValueError("expected between 1 and 4 candidate axes")
 
 
 @dataclass(eq=False)
@@ -114,7 +114,10 @@ class ClassificationResult:
 
 
 class ScanEntry(NamedTuple):
-    """One aligned-frame probe: the modifier, its correlations, ``1 - C33``, its counts."""
+    """One probe: the X-side modifier, its correlations, its criterion, its counts.
+
+    The criterion is ``1 - C33`` aligned and the distance to ``(-1, -1, 1)`` flipped.
+    """
 
     modifier: np.ndarray
     correlations: np.ndarray
@@ -241,8 +244,8 @@ def _refinement_probe(oracle, p0, entries):
     return ScanEntry(v, pv, float(1.0 - pv[2]), oracle.history[-1].counts)
 
 
-def second_round(oracle: MeasurementOracle, v1: np.ndarray, config: AlgoConfig | None = None) -> ClassificationResult:
-    """Flipped-frame retest for one first-stage modifier.
+def second_round(oracle: MeasurementOracle, v1: np.ndarray) -> ScanEntry:
+    """Flipped-frame retest for one first-stage modifier; returns its probe closest to ``(-1, -1, 1)``.
 
     The Y-side basis gets an extra Pauli-x conjugation inside the frame of
     ``v1``, which pins the third correlation of the retest input to -1 for
@@ -251,56 +254,42 @@ def second_round(oracle: MeasurementOracle, v1: np.ndarray, config: AlgoConfig |
     compose on the right of ``v1`` because the rerun operates in the frame
     it already rotated into.
     """
-    config = config or AlgoConfig()
     v1 = np.asarray(v1, dtype=complex)
     v1_flip = v1 @ _SX
     p1 = oracle.query(v1, v1_flip)
-    best_dist = np.inf
-    best_modifier = best_counts = None
+    entries = []
     for axis in axis_candidates(p1).axes:
         v2 = modifier_from_axis(axis)
         wx = v1 @ v2
-        d = distance(oracle.query(wx, v1_flip @ v2), SECOND_ROUND_TARGET)
-        if d < best_dist:
-            best_dist, best_modifier, best_counts = d, wx, oracle.history[-1].counts
-    verdict = "DC" if best_dist < config.epsilon_prime else "CC"
-    return ClassificationResult(
-        verdict=verdict,
-        rounds_used=2,
-        criterion_value=float(best_dist),
-        winning_modifier=best_modifier if verdict == "DC" else None,
-        query_count=oracle.query_count,
-        counts=best_counts,
-    )
+        pv = oracle.query(wx, v1_flip @ v2)
+        entries.append(ScanEntry(wx, pv, distance(pv, SECOND_ROUND_TARGET), oracle.history[-1].counts))
+    return min(entries, key=lambda e: e.criterion)
 
 
 def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None) -> ClassificationResult:
     """Decide whether the mechanism behind ``oracle`` is a direct or common cause.
 
     Round zero measures the plain Pauli correlations.  Away from the
-    ambiguous plane, candidate axes are probed and the alignment criterion
-    ``1 - C33 < epsilon`` decides; near the plane every candidate is pushed
-    through the flipped second round and the distance criterion decides.
+    ambiguous plane, candidate axes are probed for the alignment criterion
+    ``1 - C33``; near the plane every candidate is pushed through the flipped
+    second round for the distance criterion.  The verdict is DC exactly when
+    the smallest criterion lies below that round's threshold.
     """
     config = config or AlgoConfig()
     p0 = oracle.query()
-
     if plane_gap(p0) < config.delta + _PLANE_GUARD:
-        best = None
-        for axis in axis_candidates(p0).axes:
-            result = second_round(oracle, modifier_from_axis(axis), config)
-            if best is None or result.criterion_value < best.criterion_value:
-                best = result
-        best.query_count = oracle.query_count
-        return best
-
-    best = min(alignment_scan(oracle, p0, config), key=lambda e: e.criterion)
-    verdict = "DC" if best.criterion < config.epsilon else "CC"
+        rounds, threshold = 2, config.epsilon_prime
+        entries = [second_round(oracle, modifier_from_axis(axis)) for axis in axis_candidates(p0).axes]
+    else:
+        rounds, threshold = 1, config.epsilon
+        entries = alignment_scan(oracle, p0, config)
+    best = min(entries, key=lambda e: e.criterion)
+    direct = best.criterion < threshold
     return ClassificationResult(
-        verdict=verdict,
-        rounds_used=1,
+        verdict="DC" if direct else "CC",
+        rounds_used=rounds,
         criterion_value=best.criterion,
-        winning_modifier=best.modifier if verdict == "DC" else None,
+        winning_modifier=best.modifier if direct else None,
         query_count=oracle.query_count,
         counts=best.counts,
     )

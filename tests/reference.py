@@ -9,7 +9,8 @@ route to something the package computes another way:
   in ``[0, pi]``, the axis sign absorbs the orientation, the null rotation
   reports axis ``+z``, and at angle ``pi`` the lexicographically larger of
   the two equivalent axes is returned so round trips are deterministic;
-* tetrahedron membership and region labels, from barycentric weights;
+* the batch form of ``barycentric``, and tetrahedron membership and region
+  labels from its weights;
 * two named pure states;
 * the array form of ``axis_candidates`` and the row-by-row form of the
   refinement probe's least-squares estimate, which the package's scalar and
@@ -26,7 +27,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from qcausal.comb import CommonCause, DirectCause, Scenario, ShotCounts, TwoQubitState
-from qcausal.geometry import CC_TETRA, DC_TETRA, Polytope, barycentric
+from qcausal.geometry import CC_TETRA, DC_TETRA
 from qcausal.identify import _AXIS_TOL, AxisCandidates
 from qcausal.linalg import Z_AXIS, pauli, rotation_from_unitary
 from qcausal.scenarios import _BELL_KETS
@@ -234,9 +235,15 @@ class RegionLabel(enum.Enum):
     OUTSIDE = "outside"
 
 
-def member(point: np.ndarray, tetra: Polytope, tol: float = 1e-7):
-    """Whether the point lies in the tetrahedron (all weights >= -tol)."""
-    w = barycentric(point, tetra)
+def barycentric_batch(points: np.ndarray, tetra: np.ndarray) -> np.ndarray:
+    """``qcausal.geometry.barycentric`` of every point of a ``(..., 3)`` array at once."""
+    p = np.asarray(points, dtype=float)
+    return np.concatenate([np.ones(p.shape[:-1] + (1,)), p], axis=-1) @ tetra
+
+
+def member(point: np.ndarray, tetra: np.ndarray, tol: float = 1e-7):
+    """Whether the point (or each of a batch) lies in the tetrahedron (all weights >= -tol)."""
+    w = barycentric_batch(point, tetra)
     return bool(w.min() >= -tol) if w.ndim == 1 else w.min(axis=-1) >= -tol
 
 

@@ -29,6 +29,7 @@ from qcausal.identify import SECOND_ROUND_TARGET, _symmetric_correlation_estimat
 from qcausal.linalg import pauli, rotation_from_unitary
 from qcausal.scenarios import bell_diagonal, edge_cc, haar_unitary, haar_unitary_matrix, random_state
 from reference import axis_candidates as axis_candidates_array
+from reference import barycentric_batch
 from reference import symmetric_correlation_estimate
 
 #: Correlation components: the vertices' values, zero, dust on either side of it, and anything.
@@ -48,6 +49,7 @@ class TestAxisCandidates:
     def test_matches_array_form(self, p):
         got, want = axis_candidates(p), axis_candidates_array(p)
         assert same_bits(got.cos_theta, want.cos_theta)
+        assert len(got.axes) in (1, 2, 4)
         assert len(got.axes) == len(want.axes)
         assert all(same_bits(x, y) for x, y in zip(got.axes, want.axes))
 
@@ -171,4 +173,4 @@ class TestOnePointBarycentric:
         st.sampled_from([DC_TETRA, CC_TETRA]),
     )
     def test_matches_batch_form(self, p, tetra):
-        assert same_bits(barycentric(p, tetra), barycentric(p[None], tetra)[0])
+        assert same_bits(barycentric(p, tetra), barycentric_batch(p[None], tetra)[0])

@@ -69,6 +69,13 @@ class TestIdentifyCommand:
         assert "error:" in captured.err
         assert captured.out == ""
 
+    def test_epsilon_prime_beyond_the_common_cause_floor_exits_two(self, tmp_path, capsys):
+        # decided in the flipped round at criterion 1.2228: called DC if the cutoff were 1.25
+        doc = {"cc_bell_diagonal": [0.5833333333333334, 0, 0.4166666666666667, 0]}
+        path = write_json(tmp_path / "cc.json", doc)
+        assert main(["identify", path, "--epsilon-prime", "1.25"]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
     def test_threshold_flags(self, tmp_path, capsys):
         path = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 2.5}})
         assert main(["identify", path, "--epsilon", "0.02", "--delta", "0.3"]) == EXIT_DC

@@ -7,7 +7,6 @@ from qcausal.geometry import (
     CC_VERTICES,
     DC_TETRA,
     DC_VERTICES,
-    Polytope,
     barycentric,
     distance,
     plane_gap,
@@ -31,14 +30,15 @@ class TestBarycentric:
     def test_weights_reconstruct_point(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, size=(50, 3))
-        w = barycentric(pts, CC_TETRA)
+        w = np.array([barycentric(p, CC_TETRA) for p in pts])
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(w @ CC_VERTICES, pts, atol=1e-10)
 
-    def test_degenerate_polytope_rejected(self):
-        flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        with pytest.raises(ValueError):
-            Polytope(flat)
+    def test_maps_invert_affinely_independent_vertices(self):
+        for tetra, vertices in ((DC_TETRA, DC_VERTICES), (CC_TETRA, CC_VERTICES)):
+            assert abs(np.linalg.det(vertices[1:] - vertices[0])) > 1e-12
+            np.testing.assert_allclose(np.column_stack([np.ones(4), vertices]) @ tetra, np.eye(4), atol=1e-12)
+            assert not tetra.flags.writeable
 
 
 class TestMembership:

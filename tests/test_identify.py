@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -338,9 +339,16 @@ class TestSecondRound:
         scenario = plane_dc(np.array([0.0, 0.0, 1.0]))
         oracle = make_oracle(scenario)
         p0 = oracle.query()
-        result = second_round(oracle, modifier_from_axis(axis_candidates(p0).axes[0]))
-        assert result.verdict == "DC"
-        assert result.rounds_used == 2
+        entry = second_round(oracle, modifier_from_axis(axis_candidates(p0).axes[0]))
+        assert entry.criterion < 1e-9
+        # the closest of the flipped-frame probes (the queries after p0 and p1), with its modifier
+        probes = oracle.history[2:]
+        assert entry.criterion == min(distance(r.correlations, SECOND_ROUND_TARGET) for r in probes)
+        closest = next(r for r in probes if r.correlations is entry.correlations)
+        np.testing.assert_array_equal(closest.modifier_x, entry.modifier)
+        assert entry.counts is None
+        result = identify(make_oracle(scenario))
+        assert (result.verdict, result.rounds_used) == ("DC", 2)
         assert result.criterion_value < 1e-9
 
 
@@ -425,22 +433,54 @@ _states = st.one_of(
 )
 
 
+def _axis_permutations():
+    """The 24 signed axis permutations P with determinant +1, each with a unitary U_P inducing it."""
+    out = []
+    for order in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            p = np.array(signs)[:, None] * np.eye(3)[list(order)]
+            if np.linalg.det(p) > 0:
+                out.append((p, unitary_from_axis_angle(*axis_angle_from_rotation(p))))
+    return out
+
+
+def _permuted(scenario, u):
+    """The mechanism in axes permuted by ``P = rotation_from_unitary(u)``.
+
+    A channel's unitary becomes ``u U u^dag`` (R -> P R P^T), a state becomes
+    ``K rho K^dag`` with ``K = u (x) u`` (T -> P T P^T).
+    """
+    if isinstance(scenario, DirectCause):
+        return DirectCause(u @ scenario.unitary @ u.conj().T)
+    k = np.kron(u, u)
+    return CommonCause(TwoQubitState(k @ scenario.state.rho @ k.conj().T))
+
+
+_PERMUTATIONS = st.sampled_from(_axis_permutations())
+
+
 class TestExactNeverWrong:
-    """Exact mode never misclassifies, within the 25-query budget."""
+    """Exact mode never misclassifies, within the 25-query budget, before or after permuting the axes."""
 
     @settings(deadline=None, max_examples=250)
-    @given(_channels)
-    def test_channels_are_direct_causes(self, scenario):
-        result = identify(make_oracle(scenario))
-        assert result.verdict == "DC"
-        assert result.query_count <= 25
+    @given(_channels, _PERMUTATIONS)
+    def test_channels_are_direct_causes(self, scenario, permutation):
+        p, u = permutation
+        np.testing.assert_allclose(rotation_from_unitary(u), p, atol=1e-12)
+        for mechanism in (scenario, _permuted(scenario, u)):
+            result = identify(make_oracle(mechanism))
+            assert result.verdict == "DC"
+            assert result.query_count <= 25
 
     @settings(deadline=None, max_examples=250)
-    @given(_states)
-    def test_states_are_common_causes(self, scenario):
-        result = identify(make_oracle(scenario))
-        assert result.verdict == "CC"
-        assert result.query_count <= 25
+    @given(_states, _PERMUTATIONS)
+    def test_states_are_common_causes(self, scenario, permutation):
+        p, u = permutation
+        np.testing.assert_allclose(rotation_from_unitary(u), p, atol=1e-12)
+        for mechanism in (scenario, _permuted(scenario, u)):
+            result = identify(make_oracle(mechanism))
+            assert result.verdict == "CC"
+            assert result.query_count <= 25
 
 
 class TestConfig:
@@ -465,3 +505,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="delta"):
             AlgoConfig(epsilon=0.1, delta=0.19)
         AlgoConfig(epsilon=0.1, delta=0.2)
+        # no common cause comes within 2/sqrt(3) of (-1, -1, 1): a larger cutoff voids the flipped round
+        for bad in (2 / np.sqrt(3), 1.25):
+            with pytest.raises(ValueError, match="epsilon_prime"):
+                AlgoConfig(epsilon_prime=bad)
+        AlgoConfig(epsilon_prime=1.15)
