@@ -3,8 +3,8 @@
 Subcommands: ``sweep``, ``identify``, ``random-bench``, ``tetra-check``.
 Each takes only the flags it reads: every subcommand takes ``--seed`` and
 ``--out``, all but ``tetra-check`` take ``--mode`` and the thresholds, and
-only ``sweep`` takes ``--format``.  These common flags can also be supplied
-through ``QCAUSAL_*`` environment variables; explicit flags win.
+only ``sweep`` takes ``--format``.  The flags are the only configuration:
+the environment does not reach a run.
 ``identify`` exits 0 for a direct-cause verdict, 1 for a common-cause
 verdict and 2 on errors.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bench import (
@@ -27,19 +26,9 @@ from .bench import (
 from .comb import ScenarioFormatError, _complex_to_pairs, load_scenario, make_oracle
 from .identify import AlgoConfig, identify
 
-ENV_PREFIX = "QCAUSAL_"
-
 EXIT_DC = 0
 EXIT_CC = 1
 EXIT_ERROR = 2
-
-
-def _env(name: str, fallback=None, kind=str):
-    text = os.environ.get(ENV_PREFIX + name)
-    try:
-        return fallback if text is None else kind(text)
-    except ValueError:
-        raise ValueError(f"{ENV_PREFIX}{name}={text!r} is not a valid {kind.__name__}") from None
 
 
 def _parse_mode(text: str) -> int:
@@ -55,20 +44,18 @@ def _parse_mode(text: str) -> int:
 
 
 def _add_seed_and_out(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=_env("SEED", None, int))
-    parser.add_argument("--out", default=_env("OUT"), help="output path (default: stdout)")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", help="output path (default: stdout)")
 
 
 def _add_common(parser: argparse.ArgumentParser):
     """``--mode``, ``--seed``, ``--out`` and the thresholds, defaulting to ``AlgoConfig``'s."""
     defaults = AlgoConfig()
-    parser.add_argument("--mode", default=_env("MODE", "exact"), help="exact | shots=N")
+    parser.add_argument("--mode", default="exact", help="exact | shots=N")
     _add_seed_and_out(parser)
-    parser.add_argument("--epsilon", type=float, default=_env("EPSILON", defaults.epsilon, float))
-    parser.add_argument("--delta", type=float, default=_env("DELTA", defaults.delta, float))
-    parser.add_argument(
-        "--epsilon-prime", type=float, default=_env("EPSILON_PRIME", defaults.epsilon_prime, float)
-    )
+    parser.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    parser.add_argument("--delta", type=float, default=defaults.delta)
+    parser.add_argument("--epsilon-prime", type=float, default=defaults.epsilon_prime)
 
 
 def _config_from(args) -> AlgoConfig:
@@ -104,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="edge: number of points (default 101); plane: lattice denominator (default 10)",
     )
     p.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples per record")
-    p.add_argument("--format", choices=("csv", "json"), default=_env("FORMAT", "csv"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
 
     p = sub.add_parser("identify", help="classify one scenario file")
@@ -204,9 +191,8 @@ def main(argv=None) -> int:
         "random-bench": _cmd_random_bench,
         "tetra-check": _cmd_tetra_check,
     }
+    args = build_parser().parse_args(argv)
     try:
-        # inside the guard: the parser reads its defaults from QCAUSAL_* variables
-        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ScenarioFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,7 +100,8 @@ class ClassificationResult:
 
     ``criterion_value`` is ``1 - C33`` of the best aligned frame for
     round-one verdicts and the distance to ``(-1, -1, 1)`` for second-round
-    verdicts.  ``counts`` are the shot counts of the query that value was
+    verdicts; ``threshold`` is the cutoff that round compared it with.
+    ``counts`` are the shot counts of the query that value was
     computed from (``None`` in exact mode); every query is in the oracle's
     ``history``.
     """
@@ -108,6 +109,7 @@ class ClassificationResult:
     verdict: str
     rounds_used: int
     criterion_value: float
+    threshold: float
     winning_modifier: np.ndarray | None
     query_count: int = 0
     counts: list | None = None
@@ -289,6 +291,7 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None) -> Cla
         verdict="DC" if direct else "CC",
         rounds_used=rounds,
         criterion_value=best.criterion,
+        threshold=threshold,
         winning_modifier=best.modifier if direct else None,
         query_count=oracle.query_count,
         counts=best.counts,

@@ -92,7 +92,7 @@ def test_criterion_3_edge_sweep():
     delta = 0.15
     bad = []
     for r in records:
-        a = r.sort_key[0]
+        a = float(r.param)
         if r.mechanism == "dc":
             if not (r.criterion < 1e-9 and r.verdict == "DC"):
                 bad.append((a, "dc", r.criterion))

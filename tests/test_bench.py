@@ -109,21 +109,22 @@ class TestParityBootstrap:
             return original(counts, derive, *args, **kwargs)
 
         monkeypatch.setattr(bench, "bootstrap_errorbars", recorder)
-        for scenario, rounds in ((edge_cc(0.5), 1), (edge_cc(0.03), 2)):
+        for a, rounds in ((0.5, 1), (0.03, 2)):
             calls.clear()
-            _, rounds_used, criterion, dist, _, std_c, std_d = bench._evaluate_scenario(
-                scenario, AlgoConfig(), 5000, 6, 200
+            r = bench._evaluate_scenario(
+                "edge", f"{a}", "cc", edge_cc(a), AlgoConfig(), 5000, np.random.SeedSequence(6), 200
             )
-            assert rounds_used == rounds
+            assert (r.param, r.mechanism, r.shots) == (f"{a}", "cc", 5000)
+            assert r.rounds_used == rounds
             assert len(calls) == rounds
             (third,) = calls[0]
-            assert abs(1.0 - correlation(third) - criterion) < 1e-12
+            assert abs(1.0 - correlation(third) - r.criterion) < 1e-12
             if rounds == 2:
                 # the distance reads all three settings of the flipped round
                 assert len(calls[1]) == 3
                 values = [correlation(c) for c in calls[1]]
-                assert abs(distance(values, SECOND_ROUND_TARGET) - dist) < 1e-12
-            assert std_c > 0.0 and (std_d is None) == (rounds == 1)
+                assert abs(distance(values, SECOND_ROUND_TARGET) - r.distance) < 1e-12
+            assert r.std_criterion > 0.0 and (r.std_distance is None) == (rounds == 1)
 
     def test_sampled_criterion_spread_matches_binomial_prediction(self):
         shots = 100_000
@@ -167,9 +168,9 @@ class TestSweepEdge:
 
     def test_state_rows_report_mimicry_bound(self, records):
         for r in records:
-            if r.mechanism == "cc" and r.sort_key[0] >= 0.075:
+            if r.mechanism == "cc" and float(r.param) >= 0.075:
                 assert r.verdict == "CC"
-                assert abs(r.criterion - r.sort_key[0]) < 1e-9
+                assert abs(r.criterion - float(r.param)) < 1e-9
 
     def test_near_plane_rows_run_flipped_round(self, records):
         row = {(r.param, r.mechanism): r for r in records}

@@ -84,31 +84,18 @@ class TestIdentifyCommand:
         assert doc["thresholds"]["delta"] == 0.3
 
 
-class TestEnvOverrides:
-    def test_env_seed_and_mode(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QCAUSAL_MODE", "shots=5000")
-        monkeypatch.setenv("QCAUSAL_SEED", "17")
+class TestEnvironment:
+    def test_environment_does_not_reach_a_run(self, tmp_path, capsys, monkeypatch):
         path = write_json(tmp_path / "dc.json", {"dc": {"axis": [1, 0, 0], "angle": 2.8}})
         assert main(["identify", path]) == EXIT_DC
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["shots"] == 5000
-
-    def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QCAUSAL_EPSILON", "0.3")
-        path = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 1.0}})
-        assert main(["identify", path, "--epsilon", "0.05"]) == EXIT_DC
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["thresholds"]["epsilon"] == 0.05
-
-
-    @pytest.mark.parametrize("name", ["QCAUSAL_EPSILON", "QCAUSAL_SEED"])
-    def test_malformed_env_exits_two(self, tmp_path, capsys, monkeypatch, name):
-        monkeypatch.setenv(name, "abc")
-        path = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 1.0}})
-        assert main(["identify", path]) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert f"error: {name}=" in captured.err
-        assert captured.out == ""
+        plain = capsys.readouterr()
+        out = tmp_path / "out.json"
+        monkeypatch.setenv("QCAUSAL_MODE", "shots=5")
+        monkeypatch.setenv("QCAUSAL_EPSILON", "abc")
+        monkeypatch.setenv("QCAUSAL_OUT", str(out))
+        assert main(["identify", path]) == EXIT_DC
+        assert capsys.readouterr() == plain
+        assert not out.exists()
 
 
 class TestSweepCommand:

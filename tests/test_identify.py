@@ -185,7 +185,7 @@ class TestIdentify:
         scenarios += [random_state("mixed", rng) for _ in range(20)]
         scenarios += [plane_dc(np.array([1.0, 1.0, 1.0]) / np.sqrt(3))]
         sweep_points = list(_edge_grid(5)) + list(_plane_grid(3))
-        sweep_scenarios = [m for _, _, mechs in sweep_points for m in mechs.values()]
+        sweep_scenarios = [m for _, mechs in sweep_points for m in mechs.values()]
         runs = [(s, 0) for s in scenarios + sweep_scenarios]
         runs += [(s, 2000) for s in sweep_scenarios]
         for i, (scenario, shots) in enumerate(runs):
@@ -210,6 +210,19 @@ class TestIdentify:
             expected = 1 - values[2] if rounds == 1 else distance(values, SECOND_ROUND_TARGET)
             assert abs(expected - result.criterion_value) < 1e-12
         assert identify(make_oracle(haar_unitary(1))).counts is None
+
+    def test_threshold_is_the_deciding_rounds_cutoff(self):
+        config = AlgoConfig(epsilon=0.05, delta=0.2, epsilon_prime=0.5)
+        cases = (
+            (bell_diagonal([0.0, 0.5, 0.25, 0.25]), 1, config.epsilon),
+            (plane_dc([0, 0, 1]), 2, config.epsilon_prime),
+            (bell_diagonal([1, 0, 0, 0]), 2, config.epsilon_prime),
+        )
+        for scenario, rounds, threshold in cases:
+            result = identify(make_oracle(scenario), config)
+            assert result.rounds_used == rounds
+            assert result.threshold == threshold
+            assert (result.verdict == "DC") == (result.criterion_value < threshold)
 
     def test_winning_modifier_reported_for_dc_only(self):
         dc = identify(make_oracle(haar_unitary(1)))
