@@ -177,7 +177,7 @@ def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed, 
         # The flipped round never measures the alignment criterion; one scan
         # after the verdict fills the criterion column so the curves are complete.
         aligned = min(alignment_scan(oracle, p0, config), key=lambda e: e.criterion)
-        criterion, criterion_counts = aligned.criterion, aligned.counts
+        criterion, criterion_counts = aligned.criterion, aligned.record.counts
         dist = result.criterion_value
     else:
         criterion, criterion_counts = result.criterion_value, result.counts

@@ -38,9 +38,11 @@ __all__ = [
 ]
 
 _I2 = pauli(0)
-_I2.setflags(write=False)  # unmodified queries record this very array in their history
-#: Frame of ``_I2``, computed once; ``_measure_vector`` recognises ``_I2`` by identity.
+#: Frame of ``_I2``, computed once; ``_measure`` recognises ``_I2`` by identity.
 _IDENTITY_FRAME = rotation_from_unitary(_I2)
+# unmodified queries record these very arrays in their history
+_I2.setflags(write=False)
+_IDENTITY_FRAME.setflags(write=False)
 _PAULIS = np.stack([pauli(k) for k in range(4)])
 _SIGMA = _PAULIS[1:]
 
@@ -200,32 +202,35 @@ def _probability_table(scenario, ox, oy) -> np.ndarray:
     """
     # Plain settings read the stored data: products with the exact identity frame only
     # add signed zeros, which ``0.25 + ...`` below absorbs, so the table has the same bytes.
+    # ``ndarray.dot`` calls the same BLAS routine as ``@`` with fewer dispatch layers.
     plain = ox is _IDENTITY_FRAME and oy is ox
     if isinstance(scenario, DirectCause):
         r, R = scenario.r, scenario.R
-        mx = r if plain else r @ ox
-        c = R.diagonal() if plain else ((R @ ox) * oy).sum(axis=0)
+        mx = r if plain else r.dot(ox)
+        c = R.diagonal() if plain else np.add.reduce(R.dot(ox) * oy, axis=0)
         my = mx * c
     elif isinstance(scenario, CommonCause):
         state = scenario.state
-        mx, my = (state.s, state.t) if plain else (state.s @ ox, state.t @ oy)
-        c = state.T.diagonal() if plain else ((state.T @ oy) * ox).sum(axis=0)
+        mx, my = (state.s, state.t) if plain else (state.s.dot(ox), state.t.dot(oy))
+        c = state.T.diagonal() if plain else np.add.reduce(state.T.dot(oy) * ox, axis=0)
     else:
         raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
-    probs = np.maximum(0.25 + np.array([mx, my, c]).T @ _QUARTER_SIGNS, 0.0)
-    return probs / probs.sum(axis=1, keepdims=True)
+    probs = np.maximum(0.25 + np.array([mx, my, c]).T.dot(_QUARTER_SIGNS), 0.0)
+    return probs / np.add.reduce(probs, axis=1, keepdims=True)
 
 
-def _measure_vector(scenario, wx, wy, shots, rng):
-    """Correlation vector for modifiers (wx, wy); returns counts in sampled mode."""
+def _measure(scenario, wx, wy, shots, rng) -> OracleRecord:
+    """One query under modifiers (wx, wy): its frames, correlations and, in sampled mode, counts."""
     ox = _IDENTITY_FRAME if wx is _I2 else rotation_from_unitary(wx)
-    probs = _probability_table(scenario, ox, ox if wy is wx else rotation_from_unitary(wy))
+    oy = ox if wy is wx else rotation_from_unitary(wy)
+    probs = _probability_table(scenario, ox, oy)
     if not shots:
-        return probs @ _PARITY, None
+        return OracleRecord(wx, wy, probs.dot(_PARITY), None, ox, oy)
     rows = [rng.multinomial(shots, p) for p in probs]
     # integer parities n0 - n1 - n2 + n3 are exact; the division is the one rounding
     parities = [n0 - n1 - n2 + n3 for n0, n1, n2, n3 in (row.tolist() for row in rows)]
-    return np.array(parities) / shots, [ShotCounts._trusted(row, shots) for row in rows]
+    counts = [ShotCounts._trusted(row, shots) for row in rows]
+    return OracleRecord(wx, wy, np.array(parities) / shots, counts, ox, oy)
 
 
 def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None) -> np.ndarray:
@@ -236,17 +241,23 @@ def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None) -> np.nda
     """
     wx = _I2 if modifier_x is None else np.asarray(modifier_x, dtype=complex)
     wy = _I2 if modifier_y is None else np.asarray(modifier_y, dtype=complex)
-    return _measure_vector(scenario, wx, wy, 0, None)[0]
+    return _measure(scenario, wx, wy, 0, None).correlations
 
 
 @dataclass(frozen=True, eq=False)
 class OracleRecord:
-    """One oracle query: the modifiers used, the result, and raw counts if sampled."""
+    """One oracle query: the modifiers used, the result, raw counts if sampled, and the frames.
+
+    ``ox`` and ``oy`` are the rotations of ``modifier_x`` and ``modifier_y``,
+    one object when both sides passed the same modifier.
+    """
 
     modifier_x: np.ndarray
     modifier_y: np.ndarray
     correlations: np.ndarray
     counts: list | None
+    ox: np.ndarray
+    oy: np.ndarray
 
 
 class MeasurementOracle:
@@ -274,9 +285,9 @@ class MeasurementOracle:
     def query(self, modifier_x=None, modifier_y=None) -> np.ndarray:
         wx = _I2 if modifier_x is None else np.asarray(modifier_x, dtype=complex)
         wy = _I2 if modifier_y is None else np.asarray(modifier_y, dtype=complex)
-        values, counts = _measure_vector(self.__scenario, wx, wy, self.shots, self._rng)
-        self.history.append(OracleRecord(wx, wy, values, counts))
-        return values
+        record = _measure(self.__scenario, wx, wy, self.shots, self._rng)
+        self.history.append(record)
+        return record.correlations
 
 
 def make_oracle(scenario: Scenario, shots: int = 0, seed=None) -> MeasurementOracle:
@@ -350,11 +361,15 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise ScenarioFormatError(f"invalid scenario under {key!r}: {exc}") from exc
 
 
+def _reject_constant(token: str):
+    raise ScenarioFormatError(f"non-finite number {token} is not allowed")
+
+
 def load_scenario(path: str) -> Scenario:
-    """Read a scenario JSON file."""
+    """Read a scenario JSON file; the non-standard tokens ``NaN`` and ``Infinity`` are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
     return scenario_from_json(doc)

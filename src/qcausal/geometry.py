@@ -53,7 +53,7 @@ def barycentric(point: np.ndarray, tetra: np.ndarray) -> np.ndarray:
     The weights sum to 1 and reproduce the point under the vertex combination.
     """
     p = np.asarray(point, dtype=float)
-    return np.array([1.0, p[0], p[1], p[2]]) @ tetra
+    return np.array([1.0, p[0], p[1], p[2]]).dot(tetra)
 
 
 def plane_gap(point: np.ndarray) -> float:

@@ -21,16 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .comb import MeasurementOracle
+from .comb import MeasurementOracle, OracleRecord
 from .geometry import distance, plane_gap
-from .linalg import (
-    X_AXIS,
-    Y_AXIS,
-    Z_AXIS,
-    pauli,
-    rotation_from_unitary,
-    unitary_from_axis_angle,
-)
+from .linalg import X_AXIS, Y_AXIS, Z_AXIS, pauli, unitary_from_axis_angle
+# Unused here; bound so the per-layer benchmark tracer can wrap it on this module.
+from .linalg import rotation_from_unitary  # noqa: F401
 
 __all__ = [
     "AlgoConfig",
@@ -116,15 +111,13 @@ class ClassificationResult:
 
 
 class ScanEntry(NamedTuple):
-    """One probe: the X-side modifier, its correlations, its criterion, its counts.
+    """One probe: the oracle's record of its query, and its criterion.
 
     The criterion is ``1 - C33`` aligned and the distance to ``(-1, -1, 1)`` flipped.
     """
 
-    modifier: np.ndarray
-    correlations: np.ndarray
+    record: OracleRecord
     criterion: float
-    counts: list | None
 
 
 def axis_candidates(p: np.ndarray) -> AxisCandidates:
@@ -216,7 +209,7 @@ def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig
     for axis in axis_candidates(p0).axes:
         v = modifier_from_axis(axis)
         pv = oracle.query(v, v)
-        entries.append(ScanEntry(v, pv, float(1.0 - pv[2]), oracle.history[-1].counts))
+        entries.append(ScanEntry(oracle.history[-1], float(1.0 - pv[2])))
     if min(e.criterion for e in entries) >= config.epsilon:
         extra = _refinement_probe(oracle, p0, entries)
         if extra is not None:
@@ -225,25 +218,26 @@ def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig
 
 
 def _refinement_probe(oracle, p0, entries):
-    frames = [np.eye(3)] + [rotation_from_unitary(e.modifier) for e in entries]
+    # each scan query measured one modifier on both sides: its record holds that frame
+    frames = [np.eye(3)] + [e.record.ox for e in entries]
     estimate = _symmetric_correlation_estimate(
-        np.array(frames), np.array([p0] + [e.correlations for e in entries])
+        np.array(frames), np.array([p0] + [e.record.correlations for e in entries])
     )
     values, vectors = np.linalg.eigh(estimate)
     # LAPACK's sign and, in a degenerate top eigenspace, direction follow rounding
     # noise; the first non-negligible projection of +z, +x, +y onto that space does not
     span = vectors[:, values >= values[-1] - 1e-9]
     for e in (Z_AXIS, X_AXIS, Y_AXIS):
-        top = span @ (span.T @ e)
+        top = span.dot(span.T.dot(e))
         norm = math.sqrt(top.dot(top))  # as ``np.linalg.norm`` takes it
         if norm > 1e-6:
             break
     top = top / norm
-    if any(abs(float(top @ frame[:, 2])) > 1.0 - 1e-9 for frame in frames[1:]):
+    if any(abs(float(top.dot(frame[:, 2]))) > 1.0 - 1e-9 for frame in frames[1:]):
         return None
     v = modifier_from_axis(top)
     pv = oracle.query(v, v)
-    return ScanEntry(v, pv, float(1.0 - pv[2]), oracle.history[-1].counts)
+    return ScanEntry(oracle.history[-1], float(1.0 - pv[2]))
 
 
 def second_round(oracle: MeasurementOracle, v1: np.ndarray) -> ScanEntry:
@@ -257,14 +251,13 @@ def second_round(oracle: MeasurementOracle, v1: np.ndarray) -> ScanEntry:
     it already rotated into.
     """
     v1 = np.asarray(v1, dtype=complex)
-    v1_flip = v1 @ _SX
+    v1_flip = v1.dot(_SX)
     p1 = oracle.query(v1, v1_flip)
     entries = []
     for axis in axis_candidates(p1).axes:
         v2 = modifier_from_axis(axis)
-        wx = v1 @ v2
-        pv = oracle.query(wx, v1_flip @ v2)
-        entries.append(ScanEntry(wx, pv, distance(pv, SECOND_ROUND_TARGET), oracle.history[-1].counts))
+        pv = oracle.query(v1.dot(v2), v1_flip.dot(v2))
+        entries.append(ScanEntry(oracle.history[-1], distance(pv, SECOND_ROUND_TARGET)))
     return min(entries, key=lambda e: e.criterion)
 
 
@@ -292,7 +285,7 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None) -> Cla
         rounds_used=rounds,
         criterion_value=best.criterion,
         threshold=threshold,
-        winning_modifier=best.modifier if direct else None,
+        winning_modifier=best.record.modifier_x if direct else None,
         query_count=oracle.query_count,
-        counts=best.counts,
+        counts=best.record.counts,
     )

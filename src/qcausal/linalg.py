@@ -48,8 +48,10 @@ def unitary_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     norm = np.linalg.norm(n)
     if norm == 0 or not np.all(np.isfinite(n)):
         raise ValueError("rotation axis must be a nonzero finite vector")
-    n = n / norm
     half = 0.5 * float(angle)
+    if not np.isfinite(half):
+        raise ValueError("rotation angle must be finite")
+    n = n / norm
     n_dot_sigma = n[0] * _PAULI[1] + n[1] * _PAULI[2] + n[2] * _PAULI[3]
     return np.cos(half) * _PAULI[0] - 1j * np.sin(half) * n_dot_sigma
 
@@ -74,8 +76,9 @@ def rotation_from_unitary(u: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     ad, bc = a * d.conjugate(), b * c.conjugate()
     ab, cd = a * b.conjugate(), c * d.conjugate()
     x01, y01, z01 = bc + ad, 1j * (bc - ad), a * c.conjugate() - b * d.conjugate()
+    # a flat list parses faster than nested rows
     return np.array([
-        [x01.real, y01.real, z01.real],
-        [-x01.imag, -y01.imag, -z01.imag],
-        [ab.real - cd.real, ab.imag - cd.imag, 0.5 * (aa - bb - cc + dd)],
-    ])
+        x01.real, y01.real, z01.real,
+        -x01.imag, -y01.imag, -z01.imag,
+        ab.real - cd.real, ab.imag - cd.imag, 0.5 * (aa - bb - cc + dd),
+    ]).reshape(3, 3)

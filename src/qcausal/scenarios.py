@@ -38,7 +38,8 @@ _BELL_KETS = (
 def bell_diagonal(weights) -> CommonCause:
     """Mixture of the four Bell states with the given probabilities."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != (4,) or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
+    # written so that NaN weights fail
+    if w.shape != (4,) or not (w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("need 4 nonnegative weights summing to 1")
     rho = sum(max(float(p), 0.0) * np.outer(k, k.conj()) for p, k in zip(w, _BELL_KETS))
     return CommonCause(TwoQubitState(rho))
@@ -74,7 +75,7 @@ def plane_cc(weights) -> Scenario:
     always sums to 1.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (3,) or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
+    if w.shape != (3,) or not (w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("need 3 nonnegative weights summing to 1")
     return bell_diagonal([w[0], w[1], w[2], 0.0])
 
@@ -114,8 +115,8 @@ def random_state(kind: str = "mixed", seed=None) -> Scenario:
         rho = np.outer(ket, ket.conj())
     elif kind == "mixed":
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = g @ g.conj().T
-        rho = rho / np.trace(rho).real
+        rho = g.dot(g.conj().T)
+        rho = rho / rho.trace().real
     else:
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
     # Hermitian, unit-trace and positive semidefinite by construction

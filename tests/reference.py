@@ -14,7 +14,11 @@ route to something the package computes another way:
 * two named pure states;
 * the array form of ``axis_candidates`` and the row-by-row form of the
   refinement probe's least-squares estimate, which the package's scalar and
-  one-expression forms must match bit for bit.
+  one-expression forms must match bit for bit;
+* the ``@``, ``.sum`` and nested-list forms of the probability table, the
+  rotation of a unitary, the mixed random state and the flipped round's
+  modifier products, which the package's ``ndarray.dot``, ``np.add.reduce``
+  and flat-list forms must match bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,16 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from qcausal.comb import CommonCause, DirectCause, Scenario, ShotCounts, TwoQubitState
+from qcausal.comb import (
+    _IDENTITY_FRAME,
+    _PARITY,
+    _QUARTER_SIGNS,
+    CommonCause,
+    DirectCause,
+    Scenario,
+    ShotCounts,
+    TwoQubitState,
+)
 from qcausal.geometry import CC_TETRA, DC_TETRA
 from qcausal.identify import _AXIS_TOL, AxisCandidates
 from qcausal.linalg import Z_AXIS, pauli, rotation_from_unitary
@@ -311,3 +324,60 @@ def symmetric_correlation_estimate(frames_and_values) -> np.ndarray:
         [sol[3], sol[1], sol[5]],
         [sol[4], sol[5], sol[2]],
     ])
+
+
+def rotation_from_unitary_nested(u: np.ndarray) -> np.ndarray:
+    """``qcausal.linalg.rotation_from_unitary`` built from nested rows, without its unitarity check."""
+    (a, b), (c, d) = np.asarray(u, dtype=complex).tolist()
+    aa, bb, cc, dd = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
+    ad, bc = a * d.conjugate(), b * c.conjugate()
+    ab, cd = a * b.conjugate(), c * d.conjugate()
+    x01, y01, z01 = bc + ad, 1j * (bc - ad), a * c.conjugate() - b * d.conjugate()
+    return np.array([
+        [x01.real, y01.real, z01.real],
+        [-x01.imag, -y01.imag, -z01.imag],
+        [ab.real - cd.real, ab.imag - cd.imag, 0.5 * (aa - bb - cc + dd)],
+    ])
+
+
+def probability_table_matmul(scenario, ox, oy) -> np.ndarray:
+    """``qcausal.comb._probability_table`` with ``@`` products and ``.sum`` reductions."""
+    plain = ox is _IDENTITY_FRAME and oy is ox
+    if isinstance(scenario, DirectCause):
+        r, R = scenario.r, scenario.R
+        mx = r if plain else r @ ox
+        c = R.diagonal() if plain else ((R @ ox) * oy).sum(axis=0)
+        my = mx * c
+    else:
+        state = scenario.state
+        mx, my = (state.s, state.t) if plain else (state.s @ ox, state.t @ oy)
+        c = state.T.diagonal() if plain else ((state.T @ oy) * ox).sum(axis=0)
+    probs = np.maximum(0.25 + np.array([mx, my, c]).T @ _QUARTER_SIGNS, 0.0)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def pauli_vector_matmul(scenario, wx, wy) -> np.ndarray:
+    """Exact ``qcausal.comb.pauli_vector`` for two modifiers, through the forms above."""
+    ox = rotation_from_unitary_nested(wx)
+    oy = ox if wy is wx else rotation_from_unitary_nested(wy)
+    return probability_table_matmul(scenario, ox, oy) @ _PARITY
+
+
+def barycentric_matmul(point: np.ndarray, tetra: np.ndarray) -> np.ndarray:
+    """One-point ``qcausal.geometry.barycentric`` as an ``@`` product."""
+    p = np.asarray(point, dtype=float)
+    return np.array([1.0, p[0], p[1], p[2]]) @ tetra
+
+
+def mixed_state_rho(seed) -> np.ndarray:
+    """The ``rho`` of ``qcausal.scenarios.random_state("mixed", seed)``, via ``@`` and ``np.trace``."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def second_round_products(v1: np.ndarray, v2: np.ndarray):
+    """``second_round``'s modifier products via ``@``: ``v1 sx``, ``v1 v2`` and ``v1 sx v2``."""
+    flip = v1 @ pauli(1)
+    return flip, v1 @ v2, flip @ v2

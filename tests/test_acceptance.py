@@ -70,8 +70,8 @@ def test_criterion_2_alignment_for_haar_channels():
         entries = alignment_scan(oracle, oracle.query(), config)
         aligned = any(
             e.criterion < 1e-9
-            and abs(e.correlations[0] - e.correlations[1]) < 1e-9
-            and abs(e.correlations[0] - np.cos(angle)) < 1e-9
+            and abs(e.record.correlations[0] - e.record.correlations[1]) < 1e-9
+            and abs(e.record.correlations[0] - np.cos(angle)) < 1e-9
             for e in entries
         )
         verdict = identify(make_oracle(scenario), config).verdict

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,27 @@ class TestIdentifyCommand:
     def test_bad_mode_exits_two(self, tmp_path, capsys):
         path = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 1.0}})
         assert main(["identify", path, "--mode", "never"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [
+            ({"dc": {"axis": [0, 0, 1], "angle": float("inf")}}, "non-finite number Infinity"),
+            ({"dc": {"axis": [0, 0, 1], "angle": float("-inf")}}, "non-finite number -Infinity"),
+            ({"cc_bell_diagonal": [float("nan"), 0, 0, 1]}, "non-finite number NaN"),
+            ('{"dc": {"axis": [0, 0, 1], "angle": 1e999}}', "rotation angle must be finite"),
+        ],
+    )
+    def test_non_finite_number_exits_two_without_warnings(self, tmp_path, capsys, doc, problem):
+        # json.dumps writes inf and nan as the non-standard tokens; 1e999 parses to inf
+        path = tmp_path / "bad.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["identify", str(path)]) == EXIT_ERROR
+        assert not caught
+        captured = capsys.readouterr()
+        assert problem in captured.err
+        assert captured.out == ""
 
     def test_delta_below_twice_epsilon_exits_two(self, tmp_path, capsys):
         # with these thresholds exact mode would call this state a direct cause

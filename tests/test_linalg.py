@@ -68,6 +68,11 @@ class TestUnitaryFromAxisAngle:
         with pytest.raises(ValueError):
             unitary_from_axis_angle(np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            unitary_from_axis_angle(Z_AXIS, angle)
+
 
 class TestRotationFromUnitary:
     def test_identity(self):

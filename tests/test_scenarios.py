@@ -32,6 +32,11 @@ class TestBellStates:
                 overlap = np.vdot(bell_ket(i), bell_ket(j))
                 assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-12
 
+    @pytest.mark.parametrize("weights", [[np.nan, 0, 0, 1], [0.5, np.nan, 0.5, 0], [np.nan] * 4])
+    def test_nan_weights_rejected_by_the_weight_check(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            bell_diagonal(weights)
+
 
 class TestEdgeFamily:
     @pytest.mark.parametrize(
@@ -107,6 +112,10 @@ class TestPlaneFamily:
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
             plane_cc([0.5, 0.6, 0.2])
+
+    def test_nan_weights_rejected_by_the_weight_check(self):
+        with pytest.raises(ValueError, match="weights"):
+            plane_cc([np.nan, 0.5, 0.5])
 
 
 class TestPhaseBell:
