@@ -48,9 +48,6 @@ _SIGMA = _PAULIS[1:]
 
 #: Outcome order used by joint distributions and shot counts.
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-#: Signs of x, y and x y (rows) of each outcome pair (columns).
-_SIGNS = np.array([(x, y, x * y) for x, y in OUTCOME_PAIRS], dtype=float).T
-_QUARTER_SIGNS, _PARITY = 0.25 * _SIGNS, _SIGNS[2]
 #: Residual bound of a validated density matrix, per dimension.
 _VALIDATION_TOL = 1e-9
 
@@ -192,7 +189,24 @@ class ShotCounts:
         return sc
 
 
-def _probability_table(scenario, ox, oy) -> np.ndarray:
+def _column_sums(m: np.ndarray, o: np.ndarray) -> list:
+    """``c_k = sum_i m[i, k] o[i, k]`` as floats, summed as numpy's axis-0 reduce sums."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m.tolist()
+    (d0, d1, d2), (e0, e1, e2), (f0, f1, f2) = o.tolist()
+    return [(a0 * d0 + b0 * e0) + c0 * f0, (a1 * d1 + b1 * e1) + c1 * f1, (a2 * d2 + b2 * e2) + c2 * f2]
+
+
+def _row(x: float, y: float, z: float) -> list:
+    """Probabilities of one setting from ``(x, y, z) = (mx, my, c) / 4``, clipped and normalised."""
+    p0, p1 = 0.25 + ((x + y) + z), 0.25 + ((x - y) - z)
+    p2, p3 = 0.25 + ((y - x) - z), 0.25 + (z - (x + y))
+    p0, p1 = (0.0 if p0 < 0.0 else p0), (0.0 if p1 < 0.0 else p1)
+    p2, p3 = (0.0 if p2 < 0.0 else p2), (0.0 if p3 < 0.0 else p3)
+    total = ((p0 + p1) + p2) + p3
+    return [p0 / total, p1 / total, p2 / total, p3 / total]
+
+
+def _probability_table(scenario, ox, oy) -> list:
     """Outcome probabilities of the three settings, rows ordered as ``OUTCOME_PAIRS``.
 
     Setting k measures along ``a = ox[:, k]`` and ``b = oy[:, k]``, and
@@ -200,33 +214,39 @@ def _probability_table(scenario, ox, oy) -> np.ndarray:
     ``(a.s, b.t, a^T T b)`` for a common cause and ``(a.r, c a.r, b^T R a)``
     for a direct cause, the expansion of ``(1 + x a.r) (1 + x y b^T R a) / 4``.
     """
-    # Plain settings read the stored data: products with the exact identity frame only
-    # add signed zeros, which ``0.25 + ...`` below absorbs, so the table has the same bytes.
-    # ``ndarray.dot`` calls the same BLAS routine as ``@`` with fewer dispatch layers.
+    # Only the frame products go through BLAS: products with the signs +-1/4 are exact, and
+    # ``_column_sums`` and ``_row`` sum in the order of the gemm kernel and numpy's reduces, as
+    # the array form in ``tests/reference.py`` does.  Plain settings read the stored data: the
+    # exact identity frame only adds signed zeros, which ``0.25 + ...`` absorbs.
     plain = ox is _IDENTITY_FRAME and oy is ox
     if isinstance(scenario, DirectCause):
         r, R = scenario.r, scenario.R
-        mx = r if plain else r.dot(ox)
-        c = R.diagonal() if plain else np.add.reduce(R.dot(ox) * oy, axis=0)
-        my = mx * c
+        c = R.diagonal().tolist() if plain else _column_sums(R.dot(ox), oy)
+        if r is _MAXIMALLY_MIXED_R:
+            # mx = my = 0 (signed zeros, absorbed too), so p0 = p3 and p1 = p2
+            return [_row(0.0, 0.0, 0.25 * k) for k in c]
+        mx = r.tolist() if plain else r.dot(ox).tolist()
+        my = [a * k for a, k in zip(mx, c)]
     elif isinstance(scenario, CommonCause):
         state = scenario.state
-        mx, my = (state.s, state.t) if plain else (state.s.dot(ox), state.t.dot(oy))
-        c = state.T.diagonal() if plain else np.add.reduce(state.T.dot(oy) * ox, axis=0)
+        s, t = (state.s, state.t) if plain else (state.s.dot(ox), state.t.dot(oy))
+        mx, my = s.tolist(), t.tolist()
+        c = state.T.diagonal().tolist() if plain else _column_sums(state.T.dot(oy), ox)
     else:
         raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
-    probs = np.maximum(0.25 + np.array([mx, my, c]).T.dot(_QUARTER_SIGNS), 0.0)
-    return probs / np.add.reduce(probs, axis=1, keepdims=True)
+    return [_row(0.25 * a, 0.25 * b, 0.25 * k) for a, b, k in zip(mx, my, c)]
 
 
 def _measure(scenario, wx, wy, shots, rng) -> OracleRecord:
     """One query under modifiers (wx, wy): its frames, correlations and, in sampled mode, counts."""
     ox = _IDENTITY_FRAME if wx is _I2 else rotation_from_unitary(wx)
     oy = ox if wy is wx else rotation_from_unitary(wy)
-    probs = _probability_table(scenario, ox, oy)
+    table = _probability_table(scenario, ox, oy)
     if not shots:
-        return OracleRecord(wx, wy, probs.dot(_PARITY), None, ox, oy)
-    rows = [rng.multinomial(shots, p) for p in probs]
+        # parity signs (1, -1, -1, 1), summed in the order of the BLAS gemv kernel
+        correlations = np.array([(p0 - p2) + (p3 - p1) for p0, p1, p2, p3 in table])
+        return OracleRecord(wx, wy, correlations, None, ox, oy)
+    rows = [rng.multinomial(shots, p) for p in np.array(table)]  # array rows draw faster than lists
     # integer parities n0 - n1 - n2 + n3 are exact; the division is the one rounding
     parities = [n0 - n1 - n2 + n3 for n0, n1, n2, n3 in (row.tolist() for row in rows)]
     counts = [ShotCounts._trusted(row, shots) for row in rows]

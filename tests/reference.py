@@ -15,10 +15,12 @@ route to something the package computes another way:
 * the array form of ``axis_candidates`` and the row-by-row form of the
   refinement probe's least-squares estimate, which the package's scalar and
   one-expression forms must match bit for bit;
-* the ``@``, ``.sum`` and nested-list forms of the probability table, the
-  rotation of a unitary, the mixed random state and the flipped round's
-  modifier products, which the package's ``ndarray.dot``, ``np.add.reduce``
-  and flat-list forms must match bit for bit.
+* the array form of the probability table and of exact correlations, with
+  ``@`` products by the outcome-sign matrices and ``.sum`` reductions, which
+  the package's scalar float forms must match bit for bit;
+* the ``@`` and nested-list forms of the rotation of a unitary, the mixed
+  random state and the flipped round's modifier products, which the
+  package's ``ndarray.dot`` and flat-list forms must match bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import numpy as np
 
 from qcausal.comb import (
     _IDENTITY_FRAME,
-    _PARITY,
-    _QUARTER_SIGNS,
+    OUTCOME_PAIRS,
     CommonCause,
     DirectCause,
     Scenario,
@@ -49,6 +50,9 @@ _I2 = pauli(0)
 _SIGMA = np.stack([pauli(k) for k in (1, 2, 3)])
 #: Outcome signs +1, -1 along the projector axis of ``_projectors``.
 _OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]
+#: Signs of x, y and x y (rows) of each outcome pair (columns) of the probability table.
+_SIGNS = np.array([(x, y, x * y) for x, y in OUTCOME_PAIRS], dtype=float).T
+_QUARTER_SIGNS, _PARITY = 0.25 * _SIGNS, _SIGNS[2]
 
 
 class AxisAngle(NamedTuple):
@@ -340,6 +344,12 @@ def rotation_from_unitary_nested(u: np.ndarray) -> np.ndarray:
     ])
 
 
+def probability_rows_matmul(mx, my, c) -> np.ndarray:
+    """Probability rows from ``(mx, my, c)``: one ``@`` product by ``_QUARTER_SIGNS``, clipped, normalised."""
+    probs = np.maximum(0.25 + np.array([mx, my, c]).T @ _QUARTER_SIGNS, 0.0)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 def probability_table_matmul(scenario, ox, oy) -> np.ndarray:
     """``qcausal.comb._probability_table`` with ``@`` products and ``.sum`` reductions."""
     plain = ox is _IDENTITY_FRAME and oy is ox
@@ -352,8 +362,7 @@ def probability_table_matmul(scenario, ox, oy) -> np.ndarray:
         state = scenario.state
         mx, my = (state.s, state.t) if plain else (state.s @ ox, state.t @ oy)
         c = state.T.diagonal() if plain else ((state.T @ oy) * ox).sum(axis=0)
-    probs = np.maximum(0.25 + np.array([mx, my, c]).T @ _QUARTER_SIGNS, 0.0)
-    return probs / probs.sum(axis=1, keepdims=True)
+    return probability_rows_matmul(mx, my, c)
 
 
 def pauli_vector_matmul(scenario, wx, wy) -> np.ndarray:

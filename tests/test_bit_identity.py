@@ -9,9 +9,11 @@ bytes as the array form: stricter than ``np.array_equal``, which equates
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,12 +21,15 @@ from hypothesis.extra.numpy import arrays
 import qcausal
 from qcausal import bench
 from qcausal.comb import (
+    _I2,
     _IDENTITY_FRAME,
-    OUTCOME_PAIRS,
+    _MAXIMALLY_MIXED_R,
     CommonCause,
     DirectCause,
     TwoQubitState,
+    _measure,
     _probability_table,
+    _row,
     make_oracle,
     pauli_vector,
 )
@@ -39,11 +44,13 @@ from qcausal.identify import (
 from qcausal.linalg import pauli, rotation_from_unitary
 from qcausal.scenarios import bell_diagonal, edge_cc, haar_unitary, haar_unitary_matrix, random_state
 from reference import axis_candidates as axis_candidates_array
+from reference import _PARITY as PARITY
 from reference import (
     barycentric_batch,
     barycentric_matmul,
     mixed_state_rho,
     pauli_vector_matmul,
+    probability_rows_matmul,
     probability_table_matmul,
     rotation_from_unitary_nested,
     second_round_products,
@@ -53,7 +60,6 @@ from reference import (
 #: Correlation components: the vertices' values, zero, dust on either side of it, and anything.
 component = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 1e-13, -1e-13]), st.floats(-1.0, 1.0))
 vectors = arrays(float, 3, elements=component)
-PARITY = np.array([x * y for x, y in OUTCOME_PAIRS], dtype=float)
 
 
 def same_bits(a, b):
@@ -173,6 +179,12 @@ def _mechanism(kind, seed):
 MECHANISMS = ["channel", "channel with a marginal", "mixed", "pure", "bell", "product"]
 
 
+def _modifiers(frames, rng):
+    """Modifiers of a query whose two frames are the same, distinct or both the plain identity."""
+    wx = _I2 if frames == "plain" else haar_unitary_matrix(rng)
+    return wx, haar_unitary_matrix(rng) if frames == "distinct" else wx
+
+
 class TestPlainSettings:
     @settings(deadline=None, max_examples=300)
     @given(st.sampled_from(MECHANISMS), st.integers(0, 2**32 - 1))
@@ -197,8 +209,46 @@ class TestOnePointBarycentric:
         assert same_bits(got, barycentric_matmul(p, tetra))
 
 
+class TestScalarSignProducts:
+    """The float probability table and exact correlations against ``@`` products by the signs.
+
+    Every product with an outcome sign is exact, so only the order of the sums matters: it must
+    be the order of the BLAS kernels and of numpy's reduces.
+    """
+
+    @settings(deadline=None, max_examples=500)
+    @given(vectors, vectors, vectors)
+    def test_rows_match_the_sign_product(self, mx, my, c):
+        # components at the vertices, zero, dust and anything: clipped and signed-zero sums too
+        got = [_row(0.25 * a, 0.25 * b, 0.25 * k) for a, b, k in zip(mx.tolist(), my.tolist(), c.tolist())]
+        assert same_bits(got, probability_rows_matmul(mx, my, c))
+
+    @pytest.mark.parametrize("frames", ["same", "distinct", "plain"])
+    @pytest.mark.parametrize("kind", MECHANISMS)
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_table_and_correlations(self, kind, frames, seed):
+        rng = np.random.default_rng(seed)
+        scenario = _mechanism(kind, seed)
+        # a channel built without a marginal takes the shortcut that skips ``r.dot(ox)``
+        assert (getattr(scenario, "r", None) is _MAXIMALLY_MIXED_R) == (kind == "channel")
+        record = _measure(scenario, *_modifiers(frames, rng), 0, None)
+        want = probability_table_matmul(scenario, record.ox, record.oy)
+        assert same_bits(_probability_table(scenario, record.ox, record.oy), want)
+        assert same_bits(record.correlations, want @ PARITY)
+
+    def test_sampled_counts_are_multinomial_draws_over_the_reference_rows(self):
+        for n, (kind, frames) in enumerate(itertools.product(MECHANISMS, ["same", "distinct", "plain"])):
+            rng = np.random.default_rng(n)
+            scenario = _mechanism(kind, n)
+            record = _measure(scenario, *_modifiers(frames, rng), 100_000, np.random.default_rng([n, 7]))
+            draws = np.random.default_rng([n, 7])
+            want = [draws.multinomial(100_000, p) for p in probability_table_matmul(scenario, record.ox, record.oy)]
+            assert [c.counts.tolist() for c in record.counts] == [w.tolist() for w in want]
+
+
 class TestDotForms:
-    """``ndarray.dot``, ``np.add.reduce`` and flat-list forms against the ``@``, ``.sum`` and nested ones."""
+    """``ndarray.dot``, float and flat-list forms against the ``@``, ``.sum`` and nested ones."""
 
     @settings(deadline=None, max_examples=300)
     @given(

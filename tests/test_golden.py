@@ -9,14 +9,16 @@ reruns the same commands and compares at two strengths:
   non-float field are equal, and every float lies within 1e-12 of its golden
   (CSV floats are printed with 12 significant digits, so there one unit of the
   last printed digit is allowed on top);
-* equal bytes, when this process's BLAS ``dot`` fuses multiply and add as the
-  kernel that wrote the goldens does.  A kernel without FMA moves last bits
-  (residues of zero of about 1e-16 in the sweeps), never a verdict or a round.
+* equal bytes, when this process's BLAS gives the results of the kernel that
+  wrote the goldens on fixed inputs to the three routines the package calls:
+  ``ddot``, ``dgemm`` and ``dgemv``.  Another kernel can fuse multiply and add
+  in one routine and not in another, or sum in another order; it moves last
+  bits (residues of zero of about 1e-16 in the sweeps), never a verdict or a
+  round.
 """
 
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,17 +29,33 @@ TOL = 1e-12
 _CSV_FLOAT_COLUMNS = {"C11", "C22", "C33", "criterion", "distance", "std_criterion", "std_distance"}
 
 
-def blas_dot_fuses() -> bool:
-    """Whether ``a @ b`` of two 3-vectors rounds once per step, as a chain of fused multiply-adds.
+#: Fixed inputs of the BLAS fingerprint: sums of their products differ in the last bit
+#: between fused and unfused kernels and between summation orders.
+_A = np.array([[0.1, 0.1, 0.1], [0.1, 0.2, 0.9], [0.3, 0.7, 0.11]])
+_B = np.array([[0.1, 0.1, 0.9], [0.2, 0.1, 0.3], [0.9, 0.1, 0.7]])
+#: ``blas_fingerprint()`` on the machine that wrote the goldens: x86-64 with AVX-512, numpy
+#: 2.4.6 on scipy-openblas 0.3.31, whose ``DYNAMIC_ARCH`` picks the SkylakeX kernel there.
+GOLDEN_BLAS = {
+    "ddot": [0.12000000000000001, 0.26899999999999996],
+    "dgemm": [
+        0.12000000000000001, 0.030000000000000006, 0.19,
+        0.8600000000000001, 0.12000000000000001, 0.78,
+        0.26899999999999996, 0.11099999999999999, 0.5569999999999999,
+    ],
+    "dgemv": [
+        0.12000000000000001, 0.030000000000000006, 0.19,
+        0.12000000000000001, 0.8600000000000001, 0.26899999999999996,
+    ],
+}
 
-    For this pair the fused chain gives 0.12000000000000001 and the plain
-    left-to-right sum 0.12000000000000002.
-    """
-    a, b = np.array([0.1, 0.1, 0.1]), np.array([0.1, 0.2, 0.9])
-    fused = 0.0
-    for x, y in zip(a.tolist(), b.tolist()):
-        fused = float(Fraction(x) * Fraction(y) + Fraction(fused))
-    return float(a @ b) == fused
+
+def blas_fingerprint() -> dict:
+    """Results of ``ddot``, ``dgemm`` and ``dgemv`` (vector by matrix, matrix by vector) on ``_A``, ``_B``."""
+    return {
+        "ddot": [float(_A[0].dot(_A[1])), float(_A[1].dot(_A[2]))],
+        "dgemm": _A.dot(_B).ravel().tolist(),
+        "dgemv": _A[0].dot(_B).tolist() + _A.dot(_A[1]).tolist(),
+    }
 
 
 def _float_mismatch(got: float, want: float, tol: float) -> bool:
@@ -93,7 +111,8 @@ def test_exact_outputs_match_the_goldens(tmp_path):
     assert codes == json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     names = [f"{family}.csv{suffix}" for family in SWEEP_FAMILIES for suffix in ("", ".summary.json")]
     names += [name for name in codes if name.startswith("identify-")]
-    exact_bytes = blas_dot_fuses()
+    # equal bytes only where all three routines give the golden machine's results
+    exact_bytes = blas_fingerprint() == GOLDEN_BLAS
     mismatches = []
     for name in names:
         got, want = (tmp_path / name).read_bytes(), (GOLDEN / name).read_bytes()
