@@ -1,14 +1,16 @@
-"""Regenerate the golden exact outputs in this directory.
+"""Regenerate the golden exact and seeded sampled outputs in this directory.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/golden/regen.py
 
 It rewrites ``documents.json`` (the scenario documents given to
-``qcausal identify``), the exact outputs and ``exit_codes.json``.
-``tests/test_golden.py`` reruns the same commands through ``render`` and
-compares.  Regenerating is a declared change of the exact outputs: commit the
-new files together with the code change that explains them.
+``qcausal identify``), the exact outputs and ``exit_codes.json``, and the
+seeded sampled outputs of ``SAMPLED_COMMANDS`` (files named ``sampled-*``)
+with ``exit_codes-sampled.json``.  ``tests/test_golden.py`` reruns the same
+commands through ``render`` and ``render_sampled`` and compares.
+Regenerating is a declared change of the outputs: commit the new files
+together with the code change that explains them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,25 @@ from qcausal.scenarios import haar_unitary_matrix
 
 GOLDEN = Path(__file__).resolve().parent
 SWEEP_FAMILIES = ("edge", "plane")
+#: Seeded sampled commands by output file; ``{doc}`` stands for the path of a scenario document.
+SAMPLED_COMMANDS = {
+    "sampled-random-bench-mixed.json": [
+        "random-bench", "--scenarios", "200", "--mode", "shots=10000", "--eta", "0.05", "--seed", "2",
+    ],
+    "sampled-random-bench-pure.json": [
+        "random-bench", "--scenarios", "100", "--mode", "shots=1000", "--cc-kind", "pure", "--seed", "3",
+    ],
+    "sampled-plane.csv": [
+        "sweep", "--family", "plane", "--grid", "4", "--mode", "shots=10000", "--resamples", "100",
+        "--seed", "1",
+    ],
+    "sampled-identify-delta-boundary.json": [
+        "identify", "{delta-boundary}", "--mode", "shots=10000", "--seed", "7",
+    ],
+    "sampled-identify-plane-2-3-5-dc.json": [
+        "identify", "{plane-2-3-5-dc}", "--mode", "shots=10000", "--seed", "7",
+    ],
+}
 
 
 def _dc(axis, angle) -> dict:
@@ -85,6 +106,20 @@ def render(into: Path, documents: dict) -> dict:
     return codes
 
 
+def render_sampled(into: Path, documents: dict) -> dict:
+    """Write every seeded sampled output under ``into``; return the exit code of each by file name."""
+    codes = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {}
+        for name, doc in documents.items():
+            paths[name] = Path(scratch) / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        for out, argv in SAMPLED_COMMANDS.items():
+            argv = [str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv]
+            codes[out] = main(argv + ["--out", str(into / out)])
+    return codes
+
+
 def _write_json(path: Path, doc: dict):
     """One key per line, so a regenerated file diffs line by line."""
     lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items()]
@@ -95,6 +130,7 @@ def regenerate():
     documents = build_documents()
     _write_json(GOLDEN / "documents.json", documents)
     _write_json(GOLDEN / "exit_codes.json", render(GOLDEN, documents))
+    _write_json(GOLDEN / "exit_codes-sampled.json", render_sampled(GOLDEN, documents))
 
 
 if __name__ == "__main__":

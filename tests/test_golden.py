@@ -1,9 +1,11 @@
-"""Exact outputs of ``qcausal sweep`` and ``qcausal identify`` against committed goldens.
+"""Exact and seeded sampled CLI outputs against committed goldens.
 
-``tests/golden`` holds the exact-mode outputs that ``tests/golden/regen.py``
-wrote: the edge and plane sweeps (CSV and summary) and ``identify`` on the
-scenario documents of ``documents.json``, with every exit code.  The test
-reruns the same commands and compares at two strengths:
+``tests/golden`` holds the outputs that ``tests/golden/regen.py`` wrote: in
+exact mode the edge and plane sweeps (CSV and summary) and ``identify`` on the
+scenario documents of ``documents.json``; in sampled mode, with fixed seeds,
+two ``random-bench`` runs, a plane sweep with its bootstrap and ``identify``
+on two documents; with every exit code.  The tests rerun the same commands
+and compare at two strengths:
 
 * always: exit codes, verdicts, rounds, query counts and every other
   non-float field are equal, and every float lies within 1e-12 of its golden
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from golden.regen import GOLDEN, SWEEP_FAMILIES, render
+from golden.regen import GOLDEN, render, render_sampled
 from qcausal.bench import CSV_COLUMNS
 
 TOL = 1e-12
@@ -105,16 +107,15 @@ def _csv_mismatches(got: str, want: str, where: str) -> list:
     return out
 
 
-def test_exact_outputs_match_the_goldens(tmp_path):
+def _check(tmp_path, render_outputs, codes_file: str):
+    """Rerun the commands into ``tmp_path``; compare exit codes, then every file they wrote with its golden."""
     documents = json.loads((GOLDEN / "documents.json").read_text(encoding="utf-8"))
-    codes = render(tmp_path, documents)
-    assert codes == json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
-    names = [f"{family}.csv{suffix}" for family in SWEEP_FAMILIES for suffix in ("", ".summary.json")]
-    names += [name for name in codes if name.startswith("identify-")]
+    codes = render_outputs(tmp_path, documents)
+    assert codes == json.loads((GOLDEN / codes_file).read_text(encoding="utf-8"))
     # equal bytes only where all three routines give the golden machine's results
     exact_bytes = blas_fingerprint() == GOLDEN_BLAS
     mismatches = []
-    for name in names:
+    for name in (n for out in codes for n in ((out, out + ".summary.json") if out.endswith(".csv") else (out,))):
         got, want = (tmp_path / name).read_bytes(), (GOLDEN / name).read_bytes()
         if exact_bytes:
             mismatches += [] if got == want else [f"{name}: bytes differ"]
@@ -123,3 +124,12 @@ def test_exact_outputs_match_the_goldens(tmp_path):
         else:
             mismatches += _json_mismatches(json.loads(got), json.loads(want), name)
     assert not mismatches, "\n".join(mismatches[:20])
+
+
+def test_exact_outputs_match_the_goldens(tmp_path):
+    _check(tmp_path, render, "exit_codes.json")
+
+
+def test_seeded_sampled_outputs_match_the_goldens(tmp_path):
+    # shot counts and confusion tallies are non-float fields: equal at either strength
+    _check(tmp_path, render_sampled, "exit_codes-sampled.json")
