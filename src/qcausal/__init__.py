@@ -31,7 +31,6 @@ from .geometry import (
 )
 from .identify import (
     AlgoConfig,
-    AxisCandidates,
     ClassificationResult,
     SECOND_ROUND_TARGET,
     alignment_scan,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -247,10 +247,11 @@ def _measure(scenario, wx, wy, shots, rng) -> OracleRecord:
         correlations = np.array([(p0 - p2) + (p3 - p1) for p0, p1, p2, p3 in table])
         return OracleRecord(wx, wy, correlations, None, ox, oy)
     rows = [rng.multinomial(shots, p) for p in np.array(table)]  # array rows draw faster than lists
-    # integer parities n0 - n1 - n2 + n3 are exact; the division is the one rounding
-    parities = [n0 - n1 - n2 + n3 for n0, n1, n2, n3 in (row.tolist() for row in rows)]
+    # integer parities n0 - n1 - n2 + n3 are exact; the division is the one rounding, and
+    # Python's int / int rounds as numpy's float64 division of the same integers <= 2**53 does
+    correlations = [(n0 - n1 - n2 + n3) / shots for n0, n1, n2, n3 in (row.tolist() for row in rows)]
     counts = [ShotCounts._trusted(row, shots) for row in rows]
-    return OracleRecord(wx, wy, np.array(parities) / shots, counts, ox, oy)
+    return OracleRecord(wx, wy, np.array(correlations), counts, ox, oy)
 
 
 def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None) -> np.ndarray:
@@ -264,8 +265,7 @@ def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None) -> np.nda
     return _measure(scenario, wx, wy, 0, None).correlations
 
 
-@dataclass(frozen=True, eq=False)
-class OracleRecord:
+class OracleRecord(NamedTuple):
     """One oracle query: the modifiers used, the result, raw counts if sampled, and the frames.
 
     ``ox`` and ``oy`` are the rotations of ``modifier_x`` and ``modifier_y``,
@@ -290,8 +290,10 @@ class MeasurementOracle:
     """
 
     def __init__(self, scenario: Scenario, shots: int = 0, seed=None):
-        if shots < 0:
-            raise ValueError("shots must be >= 0 (0 means exact evaluation)")
+        # a fraction would truncate (0.5 to exact mode); beyond 2**53 a parity / shots
+        # stops matching numpy's float64 division
+        if not (0 <= shots <= 2**53 and shots == int(shots)):
+            raise ValueError(f"shots must be an integer in [0, 2**53] (0 for exact evaluation), got {shots!r}")
         self.__scenario = scenario
         self.shots = int(shots)
         # exact mode draws nothing: skip the OS-entropy read of an unseeded generator

@@ -14,7 +14,6 @@ far from anything a common cause can produce.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,7 +28,6 @@ from .linalg import rotation_from_unitary  # noqa: F401
 
 __all__ = [
     "AlgoConfig",
-    "AxisCandidates",
     "ClassificationResult",
     "ScanEntry",
     "SECOND_ROUND_TARGET",
@@ -82,14 +80,6 @@ class AlgoConfig:
 
 
 @dataclass(eq=False)
-class AxisCandidates:
-    """Rotation-axis hypotheses consistent with a correlation vector: 1, 2 or 4 unit axes."""
-
-    cos_theta: float
-    axes: list
-
-
-@dataclass(eq=False)
 class ClassificationResult:
     """Outcome of one identification run.
 
@@ -120,39 +110,40 @@ class ScanEntry(NamedTuple):
     criterion: float
 
 
-def axis_candidates(p: np.ndarray) -> AxisCandidates:
-    """Invert the rotation-diagonal relation for all sign classes.
+def axis_candidates(p: np.ndarray) -> list:
+    """Rotation-axis hypotheses consistent with a correlation vector: 1, 2 or 4 unit axes.
 
     ``cos(theta)`` comes from the trace relation ``sum C_kk = 1 + 2 cos(theta)``
     and the squared axis components from
     ``n_k^2 = (C_kk - cos(theta)) / (1 - cos(theta))``, clamped and
     renormalized so noisy or common-cause inputs still yield well-formed
     hypotheses.  Axes are enumerated over the component sign patterns modulo
-    a global sign; zero components carry no sign.
+    a global sign (the first nonzero component stays positive); zero
+    components carry no sign.
     """
     # scalar float arithmetic in numpy's order (its 3-element sums run left to right)
     c1, c2, c3 = np.asarray(p, dtype=float).tolist()
     cos_theta = min(max((c1 + c2 + c3 - 1.0) / 2.0, -1.0), 1.0)
     if 1.0 - cos_theta < _AXIS_TOL:
-        return AxisCandidates(cos_theta, [Z_AXIS.copy()])
+        return [Z_AXIS.copy()]
     weights = [min(max((c - cos_theta) / (1.0 - cos_theta), 0.0), 1.0) for c in (c1, c2, c3)]
     # Squared components below the dust level would only spawn sign classes
     # differing by a negligible tilt.
     weights = [0.0 if w < 1e-12 else w for w in weights]
     total = weights[0] + weights[1] + weights[2]
     if total < _AXIS_TOL:
-        return AxisCandidates(cos_theta, [Z_AXIS.copy()])
-    magnitudes = [math.sqrt(w / total) for w in weights]
-    nonzero = [k for k in range(3) if magnitudes[k] > 0.0]
+        return [Z_AXIS.copy()]
+    # a kept weight is >= 1e-12 and the total <= 3, so a magnitude is zero only for a zero weight
+    a, b, c = (math.sqrt(w / total) for w in weights)
+    # The sign patterns of the nonzero components after the first, in ``itertools.product`` order.
     # No two sign classes are parallel: unclipped weights sum to 1, so the total is at most
     # 1 + w beside a kept weight w, every squared magnitude is >~ 1e-12 and |dot| < 1 - 2e-12.
-    axes = []
-    for signs in itertools.product((1.0, -1.0), repeat=len(nonzero) - 1):
-        axis = magnitudes.copy()
-        for s, k in zip(signs, nonzero[1:]):
-            axis[k] *= s
-        axes.append(np.array(axis))
-    return AxisCandidates(cos_theta, axes)
+    axes = [[a, b, c]]
+    if c and (a or b):
+        axes.append([a, b, -c])
+    if a and b:
+        axes += [[a, -b, c], [a, -b, -c]] if c else [[a, -b, c]]
+    return [np.array(axis) for axis in axes]
 
 
 def modifier_from_axis(axis: np.ndarray) -> np.ndarray:
@@ -174,25 +165,32 @@ def modifier_from_axis(axis: np.ndarray) -> np.ndarray:
     # equator, where 1 + n_z would cancel
     half = math.sqrt(0.5 * (1.0 + nz if nz >= 0.0 else (nx * nx + ny * ny) / (1.0 - nz)))
     k = 0.5 / half
-    return np.array([[half, complex(-nx * k, ny * k)], [complex(nx * k, ny * k), half]])
+    # a flat list parses faster than nested rows
+    return np.array([half, complex(-nx * k, ny * k), complex(nx * k, ny * k), half]).reshape(2, 2)
 
 
-def _symmetric_correlation_estimate(frames: np.ndarray, values: np.ndarray) -> np.ndarray:
+#: Least-squares rows of the identity frame's axes: its products are ones and positive zeros.
+_IDENTITY_ROWS = [
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+]
+
+
+def _symmetric_correlation_estimate(p0, records) -> np.ndarray:
     """Least-squares symmetric 3x3 matrix matching the measured quadratic forms.
 
-    Every query with frame rotation O constrains ``f^T S f`` for the three
-    frame axes f.  Components not touched by any frame get the minimum-norm
-    value (zero), so the estimate stays an observational quantity.
+    ``p0`` was measured in the identity frame and each record in its frame
+    ``ox``; every query with frame rotation O constrains ``f^T S f`` for the
+    three frame axes f.  Components not touched by any frame get the
+    minimum-norm value (zero), so the estimate stays an observational quantity.
     """
-    f = frames.transpose(0, 2, 1).reshape(-1, 3)  # one row per frame axis, in query order
-    # columns f0^2, f1^2, f2^2, 2 f0 f1, 2 f0 f2, 2 f1 f2
-    rows = np.concatenate([f * f, 2 * f[:, [0, 0, 1]] * f[:, [1, 2, 2]]], axis=1)
-    sol, *_ = np.linalg.lstsq(rows, values.reshape(-1), rcond=None)
-    return np.array([
-        [sol[0], sol[3], sol[4]],
-        [sol[3], sol[1], sol[5]],
-        [sol[4], sol[5], sol[2]],
-    ])
+    # one row per frame axis, in query order: f0^2, f1^2, f2^2, 2 f0 f1, 2 f0 f2, 2 f1 f2
+    rows = _IDENTITY_ROWS + [
+        [a * a, b * b, c * c, (2 * a) * b, (2 * a) * c, (2 * b) * c]
+        for record in records for a, b, c in record.ox.T.tolist()
+    ]
+    values = np.asarray(p0, dtype=float).tolist() + [v for r in records for v in r.correlations.tolist()]
+    s0, s1, s2, s3, s4, s5 = np.linalg.lstsq(np.array(rows), np.array(values), rcond=None)[0].tolist()
+    return np.array([[s0, s3, s4], [s3, s1, s5], [s4, s5, s2]])
 
 
 def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig) -> list[ScanEntry]:
@@ -206,7 +204,7 @@ def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig
     enumeration.
     """
     entries = []
-    for axis in axis_candidates(p0).axes:
+    for axis in axis_candidates(p0):
         v = modifier_from_axis(axis)
         pv = oracle.query(v, v)
         entries.append(ScanEntry(oracle.history[-1], float(1.0 - pv[2])))
@@ -219,11 +217,8 @@ def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig
 
 def _refinement_probe(oracle, p0, entries):
     # each scan query measured one modifier on both sides: its record holds that frame
-    frames = [np.eye(3)] + [e.record.ox for e in entries]
-    estimate = _symmetric_correlation_estimate(
-        np.array(frames), np.array([p0] + [e.record.correlations for e in entries])
-    )
-    values, vectors = np.linalg.eigh(estimate)
+    records = [e.record for e in entries]
+    values, vectors = np.linalg.eigh(_symmetric_correlation_estimate(p0, records))
     # LAPACK's sign and, in a degenerate top eigenspace, direction follow rounding
     # noise; the first non-negligible projection of +z, +x, +y onto that space does not
     span = vectors[:, values >= values[-1] - 1e-9]
@@ -233,7 +228,7 @@ def _refinement_probe(oracle, p0, entries):
         if norm > 1e-6:
             break
     top = top / norm
-    if any(abs(float(top.dot(frame[:, 2]))) > 1.0 - 1e-9 for frame in frames[1:]):
+    if any(abs(float(top.dot(record.ox[:, 2]))) > 1.0 - 1e-9 for record in records):
         return None
     v = modifier_from_axis(top)
     pv = oracle.query(v, v)
@@ -254,7 +249,7 @@ def second_round(oracle: MeasurementOracle, v1: np.ndarray) -> ScanEntry:
     v1_flip = v1.dot(_SX)
     p1 = oracle.query(v1, v1_flip)
     entries = []
-    for axis in axis_candidates(p1).axes:
+    for axis in axis_candidates(p1):
         v2 = modifier_from_axis(axis)
         pv = oracle.query(v1.dot(v2), v1_flip.dot(v2))
         entries.append(ScanEntry(oracle.history[-1], distance(pv, SECOND_ROUND_TARGET)))
@@ -274,7 +269,7 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None) -> Cla
     p0 = oracle.query()
     if plane_gap(p0) < config.delta + _PLANE_GUARD:
         rounds, threshold = 2, config.epsilon_prime
-        entries = [second_round(oracle, modifier_from_axis(axis)) for axis in axis_candidates(p0).axes]
+        entries = [second_round(oracle, modifier_from_axis(axis)) for axis in axis_candidates(p0)]
     else:
         rounds, threshold = 1, config.epsilon
         entries = alignment_scan(oracle, p0, config)

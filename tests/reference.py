@@ -42,7 +42,7 @@ from qcausal.comb import (
     TwoQubitState,
 )
 from qcausal.geometry import CC_TETRA, DC_TETRA
-from qcausal.identify import _AXIS_TOL, AxisCandidates
+from qcausal.identify import _AXIS_TOL
 from qcausal.linalg import Z_AXIS, pauli, rotation_from_unitary
 from qcausal.scenarios import _BELL_KETS
 
@@ -288,17 +288,17 @@ def phase_bell(phi: float) -> Scenario:
     return CommonCause(TwoQubitState(np.outer(ket, ket.conj())))
 
 
-def axis_candidates(p: np.ndarray) -> AxisCandidates:
-    """``qcausal.identify.axis_candidates`` in numpy array operations."""
+def axis_candidates(p: np.ndarray) -> tuple[float, list]:
+    """``qcausal.identify.axis_candidates`` in numpy array operations, as ``(cos_theta, axes)``."""
     p = np.asarray(p, dtype=float)
     cos_theta = float(np.clip((p.sum() - 1.0) / 2.0, -1.0, 1.0))
     if 1.0 - cos_theta < _AXIS_TOL:
-        return AxisCandidates(cos_theta, [Z_AXIS.copy()])
+        return cos_theta, [Z_AXIS.copy()]
     weights = np.clip((p - cos_theta) / (1.0 - cos_theta), 0.0, 1.0)
     weights[weights < 1e-12] = 0.0
     total = weights.sum()
     if total < _AXIS_TOL:
-        return AxisCandidates(cos_theta, [Z_AXIS.copy()])
+        return cos_theta, [Z_AXIS.copy()]
     magnitudes = np.sqrt(weights / total)
     nonzero = [k for k in range(3) if magnitudes[k] > 0.0]
     axes = []
@@ -308,7 +308,7 @@ def axis_candidates(p: np.ndarray) -> AxisCandidates:
             axis[k] *= s
         if not any(abs(float(axis @ seen)) > 1.0 - 1e-12 for seen in axes):
             axes.append(axis)
-    return AxisCandidates(cos_theta, axes)
+    return cos_theta, axes
 
 
 def symmetric_correlation_estimate(frames_and_values) -> np.ndarray:

@@ -296,6 +296,11 @@ class TestRandomBench:
         with pytest.raises(ValueError, match="cc_kind"):
             run_random_bench(1000, cc_kind="bogus")
 
+    def test_fractional_shots_are_rejected(self):
+        # 0.9 shots used to truncate to 0 and score exact runs as sampled ones
+        with pytest.raises(ValueError, match="integer"):
+            run_random_bench(4, shots=0.9, seed=1)
+
     def test_accuracy_property(self):
         cm = ConfusionMatrix(dc_as_dc=48, dc_as_cc=2, cc_as_dc=1, cc_as_cc=49)
         assert abs(cm.accuracy - 0.97) < 1e-12

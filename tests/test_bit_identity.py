@@ -26,6 +26,7 @@ from qcausal.comb import (
     _MAXIMALLY_MIXED_R,
     CommonCause,
     DirectCause,
+    OracleRecord,
     TwoQubitState,
     _measure,
     _probability_table,
@@ -71,11 +72,10 @@ class TestAxisCandidates:
     @settings(deadline=None, max_examples=500)
     @given(vectors)
     def test_matches_array_form(self, p):
-        got, want = axis_candidates(p), axis_candidates_array(p)
-        assert same_bits(got.cos_theta, want.cos_theta)
-        assert len(got.axes) in (1, 2, 4)
-        assert len(got.axes) == len(want.axes)
-        assert all(same_bits(x, y) for x, y in zip(got.axes, want.axes))
+        got, (_, want) = axis_candidates(p), axis_candidates_array(p)
+        assert len(got) in (1, 2, 4)
+        assert len(got) == len(want)
+        assert all(same_bits(x, y) for x, y in zip(got, want))
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -90,21 +90,36 @@ class TestAxisCandidates:
         # being parallel
         weights = np.array([tiny, a, 1.0 - tiny - a])[list(order)]
         p = cos_theta + weights * (1.0 - cos_theta)
-        got, want = axis_candidates(p), axis_candidates_array(p)
-        assert same_bits(got.cos_theta, want.cos_theta)
-        assert len(got.axes) == len(want.axes)
-        assert all(same_bits(x, y) for x, y in zip(got.axes, want.axes))
+        got, (_, want) = axis_candidates(p), axis_candidates_array(p)
+        assert len(got) == len(want)
+        assert all(same_bits(x, y) for x, y in zip(got, want))
 
 
 class TestRefinementEstimate:
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     def test_matches_row_by_row_form(self, seed, n):
+        # the probe passes round zero's vector, measured in the identity frame (any sequence, as
+        # ``alignment_scan`` takes it), and the scan's records
         rng = np.random.default_rng(seed)
         frames = [np.eye(3)] + [rotation_from_unitary(haar_unitary_matrix(rng)) for _ in range(n - 1)]
         values = rng.uniform(-1.0, 1.0, size=(n, 3))
-        got = _symmetric_correlation_estimate(np.array(frames), values)
+        records = [OracleRecord(None, None, v, None, f, f) for f, v in zip(frames[1:], values[1:])]
+        got = _symmetric_correlation_estimate(values[0].tolist(), records)
         assert same_bits(got, symmetric_correlation_estimate(zip(frames, values)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1))
+    def test_probe_of_a_state_matches_row_by_row_form(self, seed):
+        # the records of a real scan: frames of ``modifier_from_axis``, scan correlations
+        oracle = make_oracle(random_state("mixed", seed))
+        p0 = oracle.query()
+        for axis in axis_candidates(p0):
+            v = modifier_from_axis(axis)
+            oracle.query(v, v)
+        scan = oracle.history[1:]
+        want = symmetric_correlation_estimate([(np.eye(3), p0)] + [(r.ox, r.correlations) for r in scan])
+        assert same_bits(_symmetric_correlation_estimate(p0, scan), want)
 
 
 class TestDistance:
@@ -135,6 +150,18 @@ class TestSampledParities:
             values = oracle.query(*args)
             counts = np.array([c.counts for c in oracle.history[-1].counts])
             assert same_bits(values, counts @ PARITY / shots)
+
+
+class TestParityDivision:
+    """Sampled correlations divide integer parities by ``shots`` in Python, as numpy divides them."""
+
+    @pytest.mark.parametrize("shots", [1, 2, 7, 99_999, 100_000, 10**7, 2**53 - 1, 2**53])
+    def test_matches_numpy_division(self, shots):
+        # +-shots: all shots in one outcome; 0 and +-1 around the middle; then drawn parities
+        rng = np.random.default_rng(shots % 2**32)
+        parities = [0, shots, -shots, 1, -1, shots - 1, 1 - shots]
+        parities += [int(n) for n in rng.integers(-shots, shots, size=200, endpoint=True)]
+        assert same_bits([n / shots for n in parities], np.array(parities) / shots)
 
 
 class TestRoundZeroFrame:
@@ -307,7 +334,7 @@ class TestDotForms:
         v1 = modifier_from_axis(rng.normal(size=3))
         second_round(oracle, v1)
         flip_record, *probes = oracle.history
-        v2s = [modifier_from_axis(axis) for axis in axis_candidates(flip_record.correlations).axes]
+        v2s = [modifier_from_axis(axis) for axis in axis_candidates(flip_record.correlations)]
         assert len(probes) == len(v2s)
         for record, v2 in zip(probes, v2s):
             flip, wx, wy = second_round_products(v1, v2)

@@ -17,7 +17,7 @@ from qcausal.comb import (
     scenario_to_json,
 )
 from qcausal.linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
-from qcausal.scenarios import bell_diagonal, random_state
+from qcausal.scenarios import bell_diagonal, haar_unitary, random_state
 from reference import JointDistribution, ObservableSpec, _joint_probs, correlation, exact_joint, is_unitary
 
 I2 = pauli(0)
@@ -240,6 +240,38 @@ class TestOracle:
         rec = oracle.history[0]
         assert len(rec.counts) == 3
         assert all(c.shots == 500 for c in rec.counts)
+
+    def test_records_are_read_only(self):
+        oracle = make_oracle(DirectCause(HADAMARD), shots=100, seed=1)
+        oracle.query()
+        record = oracle.history[0]
+        for name in ("modifier_x", "modifier_y", "correlations", "counts", "ox", "oy"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    @pytest.mark.parametrize("shots", [0.5, 0.9, 1e5 + 0.5])
+    def test_fractional_shots_are_rejected(self, shots):
+        # int() would truncate 0.5 and 0.9 to 0, an exact oracle with no counts
+        with pytest.raises(ValueError, match="integer"):
+            make_oracle(haar_unitary(1), shots=shots, seed=1)
+
+    @pytest.mark.parametrize("shots", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_shots_are_rejected(self, shots):
+        with pytest.raises(ValueError, match="integer"):
+            make_oracle(haar_unitary(1), shots=shots, seed=1)
+
+    @pytest.mark.parametrize("shots", [2**53 + 1, 2.0**54, -1])
+    def test_shots_outside_zero_to_2_to_53_are_rejected(self, shots):
+        # beyond 2**53, parity / shots would stop rounding as numpy's float64 division
+        with pytest.raises(ValueError, match="integer"):
+            make_oracle(haar_unitary(1), shots=shots, seed=1)
+
+    @pytest.mark.parametrize("shots", [1e5, np.int64(7), 2**53])
+    def test_integral_shots_are_accepted(self, shots):
+        oracle = make_oracle(haar_unitary(1), shots=shots, seed=1)
+        assert oracle.shots == int(shots) and type(oracle.shots) is int
+        oracle.query()
+        assert all(c.shots == int(shots) for c in oracle.history[0].counts)
 
     def test_counter_is_thread_safe(self):
         import concurrent.futures
