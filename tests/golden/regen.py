@@ -40,6 +40,10 @@ SAMPLED_COMMANDS = {
         "sweep", "--family", "plane", "--grid", "4", "--mode", "shots=10000", "--resamples", "100",
         "--seed", "1",
     ],
+    "sampled-edge.json": [
+        "sweep", "--family", "edge", "--grid", "11", "--mode", "shots=10000", "--resamples", "100",
+        "--seed", "1", "--format", "json",
+    ],
     "sampled-identify-delta-boundary.json": [
         "identify", "{delta-boundary}", "--mode", "shots=10000", "--seed", "7",
     ],

@@ -3,8 +3,8 @@
 ``tests/golden`` holds the outputs that ``tests/golden/regen.py`` wrote: in
 exact mode the edge and plane sweeps (CSV and summary) and ``identify`` on the
 scenario documents of ``documents.json``; in sampled mode, with fixed seeds,
-two ``random-bench`` runs, a plane sweep with its bootstrap and ``identify``
-on two documents; with every exit code.  The tests rerun the same commands
+two ``random-bench`` runs, a plane sweep (CSV) and an edge sweep (JSON) with
+their error bars, and ``identify`` on two documents; with every exit code.  The tests rerun the same commands
 and compare at two strengths:
 
 * always: exit codes, verdicts, rounds, query counts and every other
