@@ -246,7 +246,9 @@ def _measure(scenario, wx, wy, shots, rng) -> OracleRecord:
         # parity signs (1, -1, -1, 1), summed in the order of the BLAS gemv kernel
         correlations = np.array([(p0 - p2) + (p3 - p1) for p0, p1, p2, p3 in table])
         return OracleRecord(wx, wy, correlations, None, ox, oy)
-    rows = [rng.multinomial(shots, p) for p in np.array(table)]  # array rows draw faster than lists
+    # numpy's binomial branches at p = 0 and p = 1/2 and on floor((n + 1) p): on a 2**-42 grid the
+    # kernels' last-bit residues vanish, and the rounded rows still sum to 1 within numpy's 1e-12
+    rows = [rng.multinomial(shots, p) for p in np.rint(np.array(table) * 2.0**42) / 2.0**42]
     # integer parities n0 - n1 - n2 + n3 are exact; the division is the one rounding, and
     # Python's int / int rounds as numpy's float64 division of the same integers <= 2**53 does
     correlations = [(n0 - n1 - n2 + n3) / shots for n0, n1, n2, n3 in (row.tolist() for row in rows)]

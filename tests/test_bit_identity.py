@@ -270,7 +270,9 @@ class TestScalarSignProducts:
             scenario = _mechanism(kind, n)
             record = _measure(scenario, *_modifiers(frames, rng), 100_000, np.random.default_rng([n, 7]))
             draws = np.random.default_rng([n, 7])
-            want = [draws.multinomial(100_000, p) for p in probability_table_matmul(scenario, record.ox, record.oy)]
+            # the oracle draws from the rows rounded to multiples of 2**-42
+            rows = np.rint(probability_table_matmul(scenario, record.ox, record.oy) * 2.0**42) / 2.0**42
+            want = [draws.multinomial(100_000, p) for p in rows]
             assert [c.counts.tolist() for c in record.counts] == [w.tolist() for w in want]
 
 

@@ -9,6 +9,7 @@ from qcausal.comb import (
     ScenarioFormatError,
     ShotCounts,
     TwoQubitState,
+    _IDENTITY_FRAME,
     _check_density_matrix,
     _probability_table,
     make_oracle,
@@ -221,6 +222,23 @@ class TestOracle:
         b = make_oracle(DirectCause(HADAMARD), shots=1000, seed=5)
         np.testing.assert_array_equal(a.query(), b.query())
         np.testing.assert_array_equal(a.query(HADAMARD, I2), b.query(HADAMARD, I2))
+
+    def test_sampled_counts_ignore_last_bit_residues(self):
+        # a rescaled axis normalises a few ulps away, as under another BLAS kernel's ddot; the
+        # edge channels' probabilities sit at 0, 1/4 and 1/2, where numpy's binomial branches
+        residues = 0
+        for a in np.linspace(0.0, 1.0, 11).tolist():
+            axis = np.array([0.0, np.sqrt(1.0 / (1.0 + a)), np.sqrt(a / (1.0 + a))])
+            tables, counts = set(), []
+            for scale in (1.0, 3.0, 1 / 3, 7.0, 0.1, 1e3, 5.0):
+                channel = DirectCause(unitary_from_axis_angle(scale * axis, np.arccos(-a)))
+                tables.add(np.array(_probability_table(channel, *2 * [_IDENTITY_FRAME])).tobytes())
+                oracle = make_oracle(channel, shots=10_000, seed=3)
+                oracle.query()
+                counts.append([c.counts.tolist() for c in oracle.history[0].counts])
+            residues += len(tables) > 1
+            assert all(c == counts[0] for c in counts), a
+        assert residues >= 5  # the scales do move last bits
 
     def test_exact_oracle_seeds_a_generator_only_when_given_a_seed(self, monkeypatch):
         seeds = []
