@@ -4,8 +4,8 @@ The sweep runs ``identify`` on the direct-cause and common-cause
 realization of every grid point, producing one flat record per mechanism per
 point.  It reports the alignment criterion for every point and, for points
 near the ambiguous plane, the flipped-round distance.  In sampled mode the
-reported quantities carry bootstrap standard deviations obtained by
-resampling the observed counts.
+criterion carries its closed-form standard deviation and the distance a
+bootstrap one, obtained by resampling the observed counts.
 """
 
 from __future__ import annotations
@@ -162,9 +162,20 @@ def bootstrap_errorbars(
 # ---------------------------------------------------------------------------
 
 def _target_distances(c: np.ndarray) -> np.ndarray:
-    """Row-wise distance to ``(-1, -1, 1)``: ``norm(axis=1)`` without its ``conj()`` copy."""
-    d = c - SECOND_ROUND_TARGET
-    return np.sqrt(np.add.reduce(d * d, axis=1))
+    """Row-wise distance to ``(-1, -1, 1)``, column by column in the order of numpy's axis-1 reduce."""
+    t0, t1, t2 = SECOND_ROUND_TARGET.tolist()
+    d0, d1, d2 = c[:, 0] - t0, c[:, 1] - t1, c[:, 2] - t2
+    return np.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
+
+
+def _correlation_std(c: ShotCounts) -> float:
+    """``sqrt((1 - C^2) / N)`` of the correlation ``C`` of ``c``, computed as the oracle computes it.
+
+    The exact limit of the parity bootstrap, whose resampled ``C`` is ``(2 Binomial(N, (1 + C) / 2) - N) / N``.
+    """
+    n0, n1, n2, n3 = c.counts.tolist()
+    corr = (n0 - n1 - n2 + n3) / c.shots
+    return math.sqrt((1.0 - corr * corr) / c.shots)
 
 
 def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed, resamples):
@@ -183,25 +194,14 @@ def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed, 
         criterion, criterion_counts = result.criterion_value, result.counts
         dist = None
 
-    std_criterion = None
-    std_distance = None
+    std_criterion = std_distance = None
     if shots:
-        rng = np.random.default_rng(bootstrap_seed)
-        # the criterion reads the third setting only, so only it is resampled
-        std_criterion = float(
-            bootstrap_errorbars(
-                criterion_counts[2:], derive=lambda c: 1.0 - c[:, 0], resamples=resamples, seed=rng
-            )[0]
-        )
+        # the criterion is 1 - C33: it reads the third setting only
+        std_criterion = _correlation_std(criterion_counts[2])
         if dist is not None:
-            std_distance = float(
-                bootstrap_errorbars(
-                    result.counts,
-                    derive=_target_distances,
-                    resamples=resamples,
-                    seed=rng,
-                )[0]
-            )
+            std_distance = float(bootstrap_errorbars(
+                result.counts, derive=_target_distances, resamples=resamples, seed=bootstrap_seed
+            )[0])
     return SweepRecord(
         family, param, mechanism, tuple(float(x) for x in p0), result.rounds_used,
         criterion, dist, result.verdict, shots, std_criterion, std_distance,
@@ -363,10 +363,7 @@ def run_random_bench(
     for i in range(n_scenarios):
         truth = "DC" if i < n_dc else "CC"
         scenario_seed, oracle_seed = children[2 * i], children[2 * i + 1]
-        if truth == "DC":
-            scenario = haar_unitary(scenario_seed)
-        else:
-            scenario = random_state(cc_kind, scenario_seed)
+        scenario = haar_unitary(scenario_seed) if truth == "DC" else random_state(cc_kind, scenario_seed)
         if eta > 0 and exact_margin(scenario, config) < eta:
             if truth == "DC":
                 cm.excluded_dc += 1
@@ -423,17 +420,6 @@ def run_tetra_check(samples: int, seed=None) -> TetraReport:
         for k in range(4)
     )
     bell_ok = all(
-        np.allclose(
-            pauli_vector(bell_diagonal(np.eye(4)[k])), CC_VERTICES[k], atol=1e-9
-        )
-        for k in range(4)
+        np.allclose(pauli_vector(bell_diagonal(np.eye(4)[k])), CC_VERTICES[k], atol=1e-9) for k in range(4)
     )
-    return TetraReport(
-        samples=samples,
-        dc_violations=dc_viol,
-        cc_violations=cc_viol,
-        worst_dc_weight=worst_dc,
-        worst_cc_weight=worst_cc,
-        pauli_vertices_ok=pauli_ok,
-        bell_vertices_ok=bell_ok,
-    )
+    return TetraReport(samples, dc_viol, cc_viol, worst_dc, worst_cc, pauli_ok, bell_ok)

@@ -164,6 +164,11 @@ class CommonCause:
 Scenario = Union[DirectCause, CommonCause]
 
 
+def _is_count(n) -> bool:
+    """An integer in ``[0, 2**53]``, past which a parity / shots stops matching numpy's division."""
+    return 0 <= n <= 2**53 and n == int(n)  # NaN and infinities fail the range test
+
+
 @dataclass(frozen=True, eq=False)
 class ShotCounts:
     """Coincidence counts per outcome pair from a finite-shot run."""
@@ -172,21 +177,26 @@ class ShotCounts:
     shots: int
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (4,) or c.min() < 0:
-            raise ValueError("counts must be 4 nonnegative integers")
-        if int(c.sum()) != int(self.shots):
+        c = np.asarray(self.counts)
+        if c.shape != (4,) or not all(_is_count(n) for n in c.tolist()):
+            raise ValueError(f"counts must be 4 integers in [0, 2**53], got {self.counts!r}")
+        if not _is_count(self.shots):
+            raise ValueError(f"shots must be an integer in [0, 2**53], got {self.shots!r}")
+        c = c.astype(np.int64)
+        if int(c.sum()) != self.shots:
             raise ValueError(f"counts sum to {int(c.sum())}, expected {self.shots}")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "shots", int(self.shots))
 
     @classmethod
-    def _trusted(cls, counts: np.ndarray, shots: int) -> ShotCounts:
-        """Wrap a row just drawn by ``rng.multinomial(shots, p)`` without re-validating it."""
-        sc = object.__new__(cls)
-        object.__setattr__(sc, "counts", counts)
-        object.__setattr__(sc, "shots", shots)
-        return sc
+    def _trusted(cls, rows, shots: int) -> list:
+        """Wrap rows just drawn by ``rng.multinomial(shots, p)`` without re-validating them."""
+        out = []
+        for row in rows:
+            sc = object.__new__(cls)
+            sc.__dict__.update(counts=row, shots=shots)  # the frozen ``__setattr__`` is bypassed
+            out.append(sc)
+        return out
 
 
 def _column_sums(m: np.ndarray, o: np.ndarray) -> list:
@@ -252,8 +262,7 @@ def _measure(scenario, wx, wy, shots, rng) -> OracleRecord:
     # integer parities n0 - n1 - n2 + n3 are exact; the division is the one rounding, and
     # Python's int / int rounds as numpy's float64 division of the same integers <= 2**53 does
     correlations = [(n0 - n1 - n2 + n3) / shots for n0, n1, n2, n3 in (row.tolist() for row in rows)]
-    counts = [ShotCounts._trusted(row, shots) for row in rows]
-    return OracleRecord(wx, wy, np.array(correlations), counts, ox, oy)
+    return OracleRecord(wx, wy, np.array(correlations), ShotCounts._trusted(rows, shots), ox, oy)
 
 
 def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None) -> np.ndarray:
@@ -292,9 +301,8 @@ class MeasurementOracle:
     """
 
     def __init__(self, scenario: Scenario, shots: int = 0, seed=None):
-        # a fraction would truncate (0.5 to exact mode); beyond 2**53 a parity / shots
-        # stops matching numpy's float64 division
-        if not (0 <= shots <= 2**53 and shots == int(shots)):
+        # a fraction would truncate, 0.5 to exact mode
+        if not _is_count(shots):
             raise ValueError(f"shots must be an integer in [0, 2**53] (0 for exact evaluation), got {shots!r}")
         self.__scenario = scenario
         self.shots = int(shots)

@@ -42,7 +42,9 @@ def bell_diagonal(weights) -> CommonCause:
     if w.shape != (4,) or not (w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("need 4 nonnegative weights summing to 1")
     rho = sum(max(float(p), 0.0) * np.outer(k, k.conj()) for p, k in zip(w, _BELL_KETS))
-    return CommonCause(TwoQubitState(rho))
+    # a nonnegative mixture of projectors is Hermitian and positive semidefinite, and
+    # weights within the check above keep its trace within the density-matrix bound
+    return CommonCause(TwoQubitState._trusted(rho))
 
 
 def edge_dc(a: float) -> Scenario:

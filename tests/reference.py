@@ -20,7 +20,9 @@ route to something the package computes another way:
   the package's scalar float forms must match bit for bit;
 * the ``@`` and nested-list forms of the rotation of a unitary, the mixed
   random state and the flipped round's modifier products, which the
-  package's ``ndarray.dot`` and flat-list forms must match bit for bit.
+  package's ``ndarray.dot`` and flat-list forms must match bit for bit;
+* the axis-1 reduce form of the bootstrap's distances to ``(-1, -1, 1)``,
+  which the package's column form must match bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from qcausal.comb import (
     TwoQubitState,
 )
 from qcausal.geometry import CC_TETRA, DC_TETRA
-from qcausal.identify import _AXIS_TOL
+from qcausal.identify import _AXIS_TOL, SECOND_ROUND_TARGET
 from qcausal.linalg import Z_AXIS, pauli, rotation_from_unitary
 from qcausal.scenarios import _BELL_KETS
 
@@ -390,3 +392,9 @@ def second_round_products(v1: np.ndarray, v2: np.ndarray):
     """``second_round``'s modifier products via ``@``: ``v1 sx``, ``v1 v2`` and ``v1 sx v2``."""
     flip = v1 @ pauli(1)
     return flip, v1 @ v2, flip @ v2
+
+
+def target_distances_axis1(c: np.ndarray) -> np.ndarray:
+    """Row-wise distance of ``(n, 3)`` samples to ``(-1, -1, 1)`` by one axis-1 reduce."""
+    d = c - SECOND_ROUND_TARGET
+    return np.sqrt(np.add.reduce(d * d, axis=1))

@@ -101,32 +101,45 @@ class TestParityBootstrap:
             assert abs(new[:, j].std() - ref[:, j].std()) <= 5 * se_std + 1e-12
 
     def test_criterion_pass_reads_the_third_setting_only(self, monkeypatch):
-        calls = []
-        original = bench.bootstrap_errorbars
+        # the criterion's deviation is the closed form of its third-setting counts; only the
+        # flipped round's distance is bootstrapped, once, over all three settings
+        boots, closed = [], []
+        original_boot, original_closed = bench.bootstrap_errorbars, bench._correlation_std
 
-        def recorder(counts, derive=None, *args, **kwargs):
-            calls.append(list(counts))
-            return original(counts, derive, *args, **kwargs)
+        def boot_recorder(counts, derive=None, *args, **kwargs):
+            boots.append(list(counts))
+            return original_boot(counts, derive, *args, **kwargs)
 
-        monkeypatch.setattr(bench, "bootstrap_errorbars", recorder)
+        def closed_recorder(counts):
+            closed.append(counts)
+            return original_closed(counts)
+
+        monkeypatch.setattr(bench, "bootstrap_errorbars", boot_recorder)
+        monkeypatch.setattr(bench, "_correlation_std", closed_recorder)
         for a, rounds in ((0.5, 1), (0.03, 2)):
-            calls.clear()
+            boots.clear()
+            closed.clear()
             r = bench._evaluate_scenario(
                 "edge", f"{a}", "cc", edge_cc(a), AlgoConfig(), 5000, np.random.SeedSequence(6), 200
             )
             assert (r.param, r.mechanism, r.shots) == (f"{a}", "cc", 5000)
             assert r.rounds_used == rounds
-            assert len(calls) == rounds
-            (third,) = calls[0]
+            (third,) = closed
             assert abs(1.0 - correlation(third) - r.criterion) < 1e-12
+            n0, n1, n2, n3 = third.counts.tolist()
+            c33 = (n0 - n1 - n2 + n3) / 5000
+            assert r.std_criterion == np.sqrt((1.0 - c33 * c33) / 5000) > 0.0
+            assert len(boots) == rounds - 1
             if rounds == 2:
                 # the distance reads all three settings of the flipped round
-                assert len(calls[1]) == 3
-                values = [correlation(c) for c in calls[1]]
+                (flipped,) = boots
+                assert len(flipped) == 3
+                values = [correlation(c) for c in flipped]
                 assert abs(distance(values, SECOND_ROUND_TARGET) - r.distance) < 1e-12
-            assert r.std_criterion > 0.0 and (r.std_distance is None) == (rounds == 1)
+            assert (r.std_distance is None) == (rounds == 1)
 
     def test_sampled_criterion_spread_matches_binomial_prediction(self):
+        # the closed form itself: equal to sqrt((1 - C33^2) / N) up to the rounding of 1 - criterion
         shots = 100_000
         records = run_sweep("plane", grid=4, shots=shots, seed=8)
         zero = 0
@@ -137,7 +150,7 @@ class TestParityBootstrap:
                 zero += 1
                 assert r.std_criterion == 0.0
             else:
-                assert abs(r.std_criterion / predicted - 1.0) < 0.15
+                assert abs(r.std_criterion / predicted - 1.0) < 1e-12
         assert 0 < zero < len(records)
 
 

@@ -83,6 +83,14 @@ class TestIdentifyCommand:
         assert problem in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.5, 0.0], [-0.1, 0.6, 0.5, 0.0], [0.25] * 3])
+    def test_invalid_bell_weights_exit_two(self, tmp_path, capsys, weights):
+        path = write_json(tmp_path / "cc.json", {"cc_bell_diagonal": weights})
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "weights" in captured.err
+        assert captured.out == ""
+
     def test_delta_below_twice_epsilon_exits_two(self, tmp_path, capsys):
         # with these thresholds exact mode would call this state a direct cause
         path = write_json(tmp_path / "cc.json", {"cc_bell_diagonal": [0, 0.5, 0.45, 0.05]})

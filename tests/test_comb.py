@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,34 @@ class TestTypes:
             ShotCounts(np.array([1, 2, 3, 4]), 11)
         sc = ShotCounts(np.array([1, 2, 3, 4]), 10)
         np.testing.assert_allclose(sc.counts / sc.shots, [0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize(
+        "counts, shots",
+        [
+            (np.array([1.5, 2.5, 3, 3]), 9),  # used to truncate to [1, 2, 3, 3]
+            ([1, 2, 3, 4.9], 10.9),  # used to truncate to [1, 2, 3, 4] with 10 shots
+            ([1, 2, 3, 4], 10.5),
+            ([np.nan, 1, 2, 3], 6),  # used to raise only after numpy's cast warning
+            ([1, 2, 3, np.inf], 6),
+            ([1, 2, 3, 4], np.nan),
+            ([1, 2, 3, 4], np.inf),
+            ([-1, 2, 3, 6], 10),
+            ([2**53 + 2, 0, 0, 0], 2**53 + 2),
+        ],
+    )
+    def test_shot_counts_reject_fractional_and_non_finite_values(self, counts, shots):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be"):
+                ShotCounts(counts, shots)
+
+    @pytest.mark.parametrize(
+        "counts, shots", [([1.0, 2.0, 3.0, 4.0], 10.0), (np.array([1, 2, 3, 4], dtype=np.int32), np.int64(10))]
+    )
+    def test_shot_counts_accept_integral_values(self, counts, shots):
+        sc = ShotCounts(counts, shots)
+        assert sc.counts.dtype == np.int64 and sc.counts.tolist() == [1, 2, 3, 4]
+        assert type(sc.shots) is int and sc.shots == 10
 
 
 class TestExactJoint:
@@ -546,6 +576,8 @@ class TestCheapConstruction:
         for sc in (sc for rec in oracle.history for sc in rec.counts):
             validated = ShotCounts(sc.counts, sc.shots)
             assert type(sc) is ShotCounts and type(sc.shots) is int
+            with pytest.raises(AttributeError):
+                sc.shots = 1
             assert sc.counts.dtype == validated.counts.dtype
             np.testing.assert_array_equal(sc.counts, validated.counts)
             assert sc.shots == validated.shots

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qcausal.comb import CommonCause, DirectCause, pauli_vector
+from qcausal.comb import CommonCause, DirectCause, TwoQubitState, _check_density_matrix, pauli_vector
 from qcausal.geometry import CC_TETRA, plane_gap
 from qcausal.linalg import rotation_from_unitary
 from qcausal.scenarios import (
@@ -32,10 +32,40 @@ class TestBellStates:
                 overlap = np.vdot(bell_ket(i), bell_ket(j))
                 assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-12
 
-    @pytest.mark.parametrize("weights", [[np.nan, 0, 0, 1], [0.5, np.nan, 0.5, 0], [np.nan] * 4])
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [np.nan, 0, 0, 1], [0.5, np.nan, 0.5, 0], [np.nan] * 4,
+            # outside the tolerances, of the wrong length, infinite
+            [0.5, 0.5, 0.5, 0.0], [-1e-9, 0.5, 0.5, 1e-9], [0.25] * 3, [np.inf, 0, 0, 1], [1.0, 0.0, 0.0, -1e-6],
+        ],
+    )
     def test_nan_weights_rejected_by_the_weight_check(self, weights):
         with pytest.raises(ValueError, match="weights"):
             bell_diagonal(weights)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_mixture_matches_full_construction(self, seed):
+        # bell_diagonal skips the density-matrix check: its mixture must pass it and store the same bytes
+        # interior weights, weights with one zero, and the four vertices
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(4))
+        if seed % 3 == 0:
+            w[rng.integers(4)] = 0.0
+            w = w / w.sum()
+        if seed % 50 < 4:
+            w = np.eye(4)[seed % 50]
+        state = bell_diagonal(w).state
+        checked = TwoQubitState(_check_density_matrix(state.rho, 4, "two-qubit state"))
+        for name in ("s", "t", "T"):
+            got, want = getattr(state, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("weights", [[-1e-12, 0.5, 0.5, 1e-12], [0.25 + 5e-10, 0.25, 0.25, 0.25 - 1e-12]])
+    def test_weights_at_the_tolerances_pass_the_full_check(self, weights):
+        _check_density_matrix(bell_diagonal(weights).state.rho, 4, "two-qubit state")
 
 
 class TestEdgeFamily:
