@@ -321,20 +321,19 @@ def sweep_summary(records: Sequence[SweepRecord]) -> dict:
 # Random benchmark
 # ---------------------------------------------------------------------------
 
-def exact_margin(scenario: Scenario, config: AlgoConfig | None = None) -> float:
+def exact_margin(scenario: Scenario, config: AlgoConfig | None = None, *, with_verdict: bool = False):
     """Distance of the exact-mode decision quantities to their thresholds.
 
-    The minimum over the plane-gap comparison and the criterion used by the
-    branch actually taken; scenarios with a small margin flip verdicts under
-    sampling noise and are excluded from accuracy tallies.
+    The minimum over the plane-gap comparison and the criterion used by the branch actually
+    taken; scenarios with a small margin flip verdicts under sampling noise and are excluded
+    from accuracy tallies.  With ``with_verdict``, the pair ``(margin, verdict)`` of that run.
     """
     config = config or AlgoConfig()
     oracle = make_oracle(scenario)
     result = identify(oracle, config)
-    return float(min(
-        abs(plane_gap(oracle.history[0].correlations) - config.delta),
-        abs(result.criterion_value - result.threshold),
-    ))
+    gap = abs(plane_gap(oracle.history[0].correlations) - config.delta)
+    margin = float(min(gap, abs(result.criterion_value - result.threshold)))
+    return (margin, result.verdict) if with_verdict else margin
 
 
 def run_random_bench(
@@ -364,13 +363,15 @@ def run_random_bench(
         truth = "DC" if i < n_dc else "CC"
         scenario_seed, oracle_seed = children[2 * i], children[2 * i + 1]
         scenario = haar_unitary(scenario_seed) if truth == "DC" else random_state(cc_kind, scenario_seed)
-        if eta > 0 and exact_margin(scenario, config) < eta:
+        margin, verdict = exact_margin(scenario, config, with_verdict=True) if eta > 0 else (math.inf, None)
+        if margin < eta:
             if truth == "DC":
                 cm.excluded_dc += 1
             else:
                 cm.excluded_cc += 1
             continue
-        verdict = identify(make_oracle(scenario, shots=shots, seed=oracle_seed), config).verdict
+        if shots or verdict is None:  # in exact mode a second run would repeat the margin pass
+            verdict = identify(make_oracle(scenario, shots=shots, seed=oracle_seed), config).verdict
         if truth == "DC":
             if verdict == "DC":
                 cm.dc_as_dc += 1

@@ -256,9 +256,11 @@ def _measure(scenario, wx, wy, shots, rng) -> OracleRecord:
         # parity signs (1, -1, -1, 1), summed in the order of the BLAS gemv kernel
         correlations = np.array([(p0 - p2) + (p3 - p1) for p0, p1, p2, p3 in table])
         return OracleRecord(wx, wy, correlations, None, ox, oy)
-    # numpy's binomial branches at p = 0 and p = 1/2 and on floor((n + 1) p): on a 2**-42 grid the
-    # kernels' last-bit residues vanish, and the rounded rows still sum to 1 within numpy's 1e-12
-    rows = [rng.multinomial(shots, p) for p in np.rint(np.array(table) * 2.0**42) / 2.0**42]
+    # numpy's binomial branches at p = 0 and p = 1/2 and on floor((n + 1) p): on a 2**-42 grid the kernels'
+    # last-bit residues vanish, and rounded rows still sum to 1 within numpy's 1e-12.  ``_row`` yields p in
+    # [0, 1] or NaN, and doubles in [1024, 1025] lie 2**-42 apart: p + 1024 rounds p to the grid, ties to even,
+    # as ``np.rint(p * 2**42) / 2**42`` does, the subtraction is exact (Sterbenz) and NaN stays NaN
+    rows = [rng.multinomial(shots, [(p + 1024.0) - 1024.0 for p in row]) for row in table]
     # integer parities n0 - n1 - n2 + n3 are exact; the division is the one rounding, and
     # Python's int / int rounds as numpy's float64 division of the same integers <= 2**53 does
     correlations = [(n0 - n1 - n2 + n3) / shots for n0, n1, n2, n3 in (row.tolist() for row in rows)]

@@ -46,8 +46,8 @@ def unitary_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     """
     n = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(n)
-    if norm == 0 or not np.all(np.isfinite(n)):
-        raise ValueError("rotation axis must be a nonzero finite vector")
+    if n.shape != (3,) or norm == 0 or not np.all(np.isfinite(n)):
+        raise ValueError("rotation axis must be a nonzero finite vector of 3 components")
     half = 0.5 * float(angle)
     if not np.isfinite(half):
         raise ValueError("rotation angle must be finite")

@@ -33,6 +33,8 @@ _BELL_KETS = (
     np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
     np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
 )
+_BELL_PROJECTORS = np.stack([np.outer(k, k.conj()) for k in _BELL_KETS])
+_BELL_PROJECTORS.setflags(write=False)
 
 
 def bell_diagonal(weights) -> CommonCause:
@@ -41,7 +43,7 @@ def bell_diagonal(weights) -> CommonCause:
     # written so that NaN weights fail
     if w.shape != (4,) or not (w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("need 4 nonnegative weights summing to 1")
-    rho = sum(max(float(p), 0.0) * np.outer(k, k.conj()) for p, k in zip(w, _BELL_KETS))
+    rho = sum(max(float(p), 0.0) * proj for p, proj in zip(w, _BELL_PROJECTORS))
     # a nonnegative mixture of projectors is Hermitian and positive semidefinite, and
     # weights within the check above keep its trace within the density-matrix bound
     return CommonCause(TwoQubitState._trusted(rho))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,41 @@ class TestRandomBench:
         # 0.9 shots used to truncate to 0 and score exact runs as sampled ones
         with pytest.raises(ValueError, match="integer"):
             run_random_bench(4, shots=0.9, seed=1)
+
+    @pytest.fixture
+    def identify_shots(self, monkeypatch):
+        """The oracle shots of every ``identify`` call the bench makes."""
+        shots = []
+
+        def recording(oracle, config):
+            shots.append(oracle.shots)
+            return identify(oracle, config)
+
+        monkeypatch.setattr(bench, "identify", recording)
+        return shots
+
+    @pytest.mark.parametrize("cc_kind", ["mixed", "pure"])
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_exact_run_takes_its_verdict_from_the_margin_pass(self, identify_shots, cc_kind, seed):
+        # the two-pass form: a margin pass, then a verdict pass on an oracle seeded from the scenario
+        children = np.random.SeedSequence(seed).spawn(80)
+        tallies = Counter()
+        for i in range(40):
+            truth, scenario_seed = ("dc" if i < 20 else "cc"), children[2 * i]
+            scenario = haar_unitary(scenario_seed) if truth == "dc" else random_state(cc_kind, scenario_seed)
+            if exact_margin(scenario) < 0.05:
+                tallies[f"excluded_{truth}"] += 1
+            else:
+                verdict = identify(make_oracle(scenario, seed=children[2 * i + 1])).verdict
+                tallies[f"{truth}_as_{verdict.lower()}"] += 1
+        identify_shots.clear()  # the reference's margin passes
+        assert run_random_bench(40, eta=0.05, seed=seed, cc_kind=cc_kind) == ConfusionMatrix(**tallies)
+        assert identify_shots == [0] * 40
+
+    def test_sampled_run_still_draws_its_verdict(self, identify_shots):
+        # the margin pass runs exact, the verdict pass at the bench's shots
+        cm = run_random_bench(20, shots=1000, eta=0.05, seed=3)
+        assert identify_shots.count(0) == 20 and identify_shots.count(1000) == cm.included > 0
 
     def test_accuracy_property(self):
         cm = ConfusionMatrix(dc_as_dc=48, dc_as_cc=2, cc_as_dc=1, cc_as_cc=49)

@@ -304,6 +304,46 @@ class TestScalarSignProducts:
             assert [c.counts.tolist() for c in record.counts] == [w.tolist() for w in want]
 
 
+class TestGridRounding:
+    """The rows a sampled query draws from against ``np.rint(p * 2**42) / 2**42``, bit for bit."""
+
+    @staticmethod
+    def drawn(monkeypatch, table):
+        # ``_measure`` rounds whatever ``_probability_table`` returns; a recording generator
+        # keeps the probabilities exactly as they reach ``multinomial``
+        seen = []
+
+        class Recorder:
+            def multinomial(self, n, p):
+                seen.append(list(p))
+                return np.array([n, 0, 0, 0])
+
+        monkeypatch.setattr(qcausal.comb, "_probability_table", lambda *frames: table)
+        _measure(DirectCause(_I2), _I2, _I2, 10, Recorder())
+        return np.array(seen)
+
+    def check(self, monkeypatch, p):
+        p = np.asarray(p, dtype=float).reshape(-1, 4)
+        assert same_bits(self.drawn(monkeypatch, p.tolist()), np.rint(p * 2.0**42) / 2.0**42)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 2**41 - 2, 2**41 - 1, 2**42 - 2, 2**42 - 1])
+    def test_ties_round_to_even(self, monkeypatch, k):
+        # (k + 1/2) 2**-42 is a tie between k and k + 1, and 1 minus it one between 2**42 - k - 1
+        # and 2**42 - k, of the other parity; the grid keeps the even multiple
+        half = (k + 0.5) * 2.0**-42
+        self.check(monkeypatch, [half, 1.0 - half, half / 2, half / 4])
+
+    def test_special_values(self, monkeypatch):
+        self.check(monkeypatch, [0.0, 2.0**-1074, 2.0**-43, 0.5, 1.0 - 2.0**-53, 1.0, 2.0**-42, 0.25])
+
+    def test_uniform_draws(self, monkeypatch):
+        self.check(monkeypatch, np.random.default_rng(18).random(100_000))
+
+    def test_nan_stays_nan(self, monkeypatch):
+        got = self.drawn(monkeypatch, [[np.nan, 0.25, np.nan, 0.5]])
+        assert np.isnan(got[0, [0, 2]]).all() and same_bits(got[0, [1, 3]], [0.25, 0.5])
+
+
 class TestDotForms:
     """``ndarray.dot``, float and flat-list forms against the ``@``, ``.sum`` and nested ones."""
 

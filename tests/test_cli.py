@@ -91,6 +91,15 @@ class TestIdentifyCommand:
         assert "weights" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("axis", [[0, 1], [0, 0, 1, 0]])
+    def test_axis_of_the_wrong_length_exits_two(self, tmp_path, capsys, axis):
+        # exit 1 would read as a common-cause verdict
+        path = write_json(tmp_path / "dc.json", {"dc": {"axis": axis, "angle": 1}})
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "3 components" in captured.err
+        assert captured.out == ""
+
     def test_delta_below_twice_epsilon_exits_two(self, tmp_path, capsys):
         # with these thresholds exact mode would call this state a direct cause
         path = write_json(tmp_path / "cc.json", {"cc_bell_diagonal": [0, 0.5, 0.45, 0.05]})

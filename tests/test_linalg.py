@@ -68,6 +68,12 @@ class TestUnitaryFromAxisAngle:
         with pytest.raises(ValueError):
             unitary_from_axis_angle(np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("axis", [[0, 1], [0, 0, 1, 0], [[0, 0, 1]], 1.0, []])
+    def test_axis_of_the_wrong_shape_rejected(self, axis):
+        # a short axis used to raise IndexError, and a long one was silently truncated
+        with pytest.raises(ValueError, match="3 components"):
+            unitary_from_axis_angle(axis, 1.0)
+
     @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
     def test_non_finite_angle_rejected(self, angle):
         with pytest.raises(ValueError, match="angle must be finite"):

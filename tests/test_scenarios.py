@@ -56,6 +56,8 @@ class TestBellStates:
         if seed % 50 < 4:
             w = np.eye(4)[seed % 50]
         state = bell_diagonal(w).state
+        outer = sum(max(float(p), 0.0) * np.outer(bell_ket(k), bell_ket(k).conj()) for k, p in enumerate(w))
+        assert state.rho.tobytes() == outer.tobytes()
         checked = TwoQubitState(_check_density_matrix(state.rho, 4, "two-qubit state"))
         for name in ("s", "t", "T"):
             got, want = getattr(state, name), getattr(checked, name)
