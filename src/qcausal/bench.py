@@ -321,19 +321,19 @@ def sweep_summary(records: Sequence[SweepRecord]) -> dict:
 # Random benchmark
 # ---------------------------------------------------------------------------
 
-def exact_margin(scenario: Scenario, config: AlgoConfig | None = None, *, with_verdict: bool = False):
+def exact_margin(scenario: Scenario, config: AlgoConfig | None = None, *, stop_margin: float | None = None):
     """Distance of the exact-mode decision quantities to their thresholds.
 
-    The minimum over the plane-gap comparison and the criterion used by the branch actually
-    taken; scenarios with a small margin flip verdicts under sampling noise and are excluded
-    from accuracy tallies.  With ``with_verdict``, the pair ``(margin, verdict)`` of that run.
+    The minimum over the plane-gap comparison and the criterion of the branch taken; scenarios with a small
+    margin flip verdicts under sampling noise and are excluded from accuracy tallies.  With ``stop_margin``,
+    ``(margin, verdict)`` of a run stopped as ``identify`` stops, whose margin is below it iff the full run's is.
     """
     config = config or AlgoConfig()
     oracle = make_oracle(scenario)
-    result = identify(oracle, config)
+    result = identify(oracle, config, stop_margin=stop_margin)
     gap = abs(plane_gap(oracle.history[0].correlations) - config.delta)
     margin = float(min(gap, abs(result.criterion_value - result.threshold)))
-    return (margin, result.verdict) if with_verdict else margin
+    return margin if stop_margin is None else (margin, result.verdict)
 
 
 def run_random_bench(
@@ -346,8 +346,8 @@ def run_random_bench(
 ) -> ConfusionMatrix:
     """Identify a half/half ensemble of random channels and random states.
 
-    Scenarios whose exact-mode margin is below ``eta`` are counted as
-    excluded rather than scored.
+    Scenarios whose exact-mode margin is below ``eta`` are counted as excluded rather than
+    scored.  Both runs stop at the probe that settles their outcome; the tallies are those of full runs.
     """
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
@@ -363,7 +363,7 @@ def run_random_bench(
         truth = "DC" if i < n_dc else "CC"
         scenario_seed, oracle_seed = children[2 * i], children[2 * i + 1]
         scenario = haar_unitary(scenario_seed) if truth == "DC" else random_state(cc_kind, scenario_seed)
-        margin, verdict = exact_margin(scenario, config, with_verdict=True) if eta > 0 else (math.inf, None)
+        margin, verdict = exact_margin(scenario, config, stop_margin=eta) if eta > 0 else (math.inf, None)
         if margin < eta:
             if truth == "DC":
                 cm.excluded_dc += 1
@@ -371,7 +371,7 @@ def run_random_bench(
                 cm.excluded_cc += 1
             continue
         if shots or verdict is None:  # in exact mode a second run would repeat the margin pass
-            verdict = identify(make_oracle(scenario, shots=shots, seed=oracle_seed), config).verdict
+            verdict = identify(make_oracle(scenario, shots=shots, seed=oracle_seed), config, stop_margin=0.0).verdict
         if truth == "DC":
             if verdict == "DC":
                 cm.dc_as_dc += 1

@@ -193,8 +193,8 @@ def _symmetric_correlation_estimate(p0, records) -> np.ndarray:
     return np.array([[s0, s3, s4], [s3, s1, s5], [s4, s5, s2]])
 
 
-def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig) -> list[ScanEntry]:
-    """Probe every candidate axis of ``p0`` with same-frame queries.
+def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig, *, stop=None) -> list[ScanEntry]:
+    """Probe the candidate axes of ``p0`` with same-frame queries, up to the first criterion ``stop`` accepts.
 
     If no candidate reaches the alignment cutoff, one refinement query is
     added: the measured vectors determine (in the least-squares sense) the
@@ -208,6 +208,8 @@ def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig
         v = modifier_from_axis(axis)
         pv = oracle.query(v, v)
         entries.append(ScanEntry(oracle.history[-1], float(1.0 - pv[2])))
+        if stop and stop(entries[-1].criterion):
+            break
     if min(e.criterion for e in entries) >= config.epsilon:
         extra = _refinement_probe(oracle, p0, entries)
         if extra is not None:
@@ -235,8 +237,8 @@ def _refinement_probe(oracle, p0, entries):
     return ScanEntry(oracle.history[-1], float(1.0 - pv[2]))
 
 
-def second_round(oracle: MeasurementOracle, v1: np.ndarray) -> ScanEntry:
-    """Flipped-frame retest for one first-stage modifier; returns its probe closest to ``(-1, -1, 1)``.
+def second_round(oracle: MeasurementOracle, v1: np.ndarray, *, stop=None) -> ScanEntry:
+    """Flipped-frame retest of ``v1`` up to the first distance ``stop`` accepts; its probe closest to ``(-1, -1, 1)``.
 
     The Y-side basis gets an extra Pauli-x conjugation inside the frame of
     ``v1``, which pins the third correlation of the retest input to -1 for
@@ -253,26 +255,34 @@ def second_round(oracle: MeasurementOracle, v1: np.ndarray) -> ScanEntry:
         v2 = modifier_from_axis(axis)
         pv = oracle.query(v1.dot(v2), v1_flip.dot(v2))
         entries.append(ScanEntry(oracle.history[-1], distance(pv, SECOND_ROUND_TARGET)))
+        if stop and stop(entries[-1].criterion):
+            break
     return min(entries, key=lambda e: e.criterion)
 
 
-def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None) -> ClassificationResult:
+def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, stop_margin=None) -> ClassificationResult:
     """Decide whether the mechanism behind ``oracle`` is a direct or common cause.
 
-    Round zero measures the plain Pauli correlations.  Away from the
-    ambiguous plane, candidate axes are probed for the alignment criterion
-    ``1 - C33``; near the plane every candidate is pushed through the flipped
-    second round for the distance criterion.  The verdict is DC exactly when
-    the smallest criterion lies below that round's threshold.
+    Round zero measures the plain Pauli correlations.  Away from the ambiguous plane, candidate axes
+    are probed for the alignment criterion ``1 - C33``; near the plane every candidate is pushed
+    through the flipped second round for the distance criterion.  The verdict is DC exactly when the
+    smallest criterion lies below that round's threshold.  With ``stop_margin`` (a float) the run
+    stops at the first probe whose criterion ``c`` has ``c < threshold and threshold - c >=
+    stop_margin`` and reports it: the full run's verdict, but not always its criterion.
     """
     config = config or AlgoConfig()
     p0 = oracle.query()
-    if plane_gap(p0) < config.delta + _PLANE_GUARD:
-        rounds, threshold = 2, config.epsilon_prime
-        entries = [second_round(oracle, modifier_from_axis(axis)) for axis in axis_candidates(p0)]
+    flipped = plane_gap(p0) < config.delta + _PLANE_GUARD
+    rounds, threshold = (2, config.epsilon_prime) if flipped else (1, config.epsilon)
+    stop = None if stop_margin is None else (lambda c: c < threshold and threshold - c >= stop_margin)
+    if flipped:
+        entries = []
+        for axis in axis_candidates(p0):
+            entries.append(second_round(oracle, modifier_from_axis(axis), stop=stop))
+            if stop and stop(entries[-1].criterion):
+                break
     else:
-        rounds, threshold = 1, config.epsilon
-        entries = alignment_scan(oracle, p0, config)
+        entries = alignment_scan(oracle, p0, config, stop=stop)
     best = min(entries, key=lambda e: e.criterion)
     direct = best.criterion < threshold
     return ClassificationResult(

@@ -45,6 +45,8 @@ def unitary_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     rule) under conjugation.
     """
     n = np.asarray(axis, dtype=float)
+    big = np.abs(n).max(initial=0.0)  # rescaled only where the plain sum of squares would under- or overflow
+    n = n / big if 0.0 < big < 1e-150 or 1e150 < big < np.inf else n
     norm = np.linalg.norm(n)
     if n.shape != (3,) or norm == 0 or not np.all(np.isfinite(n)):
         raise ValueError("rotation axis must be a nonzero finite vector of 3 components")

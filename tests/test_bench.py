@@ -321,9 +321,9 @@ class TestRandomBench:
         """The oracle shots of every ``identify`` call the bench makes."""
         shots = []
 
-        def recording(oracle, config):
+        def recording(oracle, config, **kwargs):
             shots.append(oracle.shots)
-            return identify(oracle, config)
+            return identify(oracle, config, **kwargs)
 
         monkeypatch.setattr(bench, "identify", recording)
         return shots
@@ -345,6 +345,23 @@ class TestRandomBench:
         identify_shots.clear()  # the reference's margin passes
         assert run_random_bench(40, eta=0.05, seed=seed, cc_kind=cc_kind) == ConfusionMatrix(**tallies)
         assert identify_shots == [0] * 40
+
+    @pytest.mark.parametrize("shots", [1000, 100_000])
+    @pytest.mark.parametrize("cc_kind", ["mixed", "pure"])
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_sampled_run_matches_the_two_pass_form_of_full_runs(self, shots, cc_kind, seed):
+        # full runs throughout: a plain margin pass, then a full sampled identify on the oracle's seed
+        children = np.random.SeedSequence(seed).spawn(80)
+        tallies = Counter()
+        for i in range(40):
+            truth, scenario_seed = ("dc" if i < 20 else "cc"), children[2 * i]
+            scenario = haar_unitary(scenario_seed) if truth == "dc" else random_state(cc_kind, scenario_seed)
+            if exact_margin(scenario) < 0.05:
+                tallies[f"excluded_{truth}"] += 1
+            else:
+                verdict = identify(make_oracle(scenario, shots=shots, seed=children[2 * i + 1])).verdict
+                tallies[f"{truth}_as_{verdict.lower()}"] += 1
+        assert run_random_bench(40, shots=shots, eta=0.05, seed=seed, cc_kind=cc_kind) == ConfusionMatrix(**tallies)
 
     def test_sampled_run_still_draws_its_verdict(self, identify_shots):
         # the margin pass runs exact, the verdict pass at the bench's shots

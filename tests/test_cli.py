@@ -100,6 +100,20 @@ class TestIdentifyCommand:
         assert "3 components" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "axis, plain", [([1e200, 1e200, 0], [1, 1, 0]), ([1e-200, 0, 0], [1, 0, 0]), ([3e-160, 0, 0], [1, 0, 0])]
+    )
+    def test_axis_beyond_the_squares_range_is_its_direction(self, tmp_path, capsys, axis, plain):
+        # squared, these components overflow or underflow; they used to exit 2 as "not unitary" or "nonzero"
+        runs = []
+        for name, a in (("far", axis), ("plain", plain)):
+            path = write_json(tmp_path / f"{name}.json", {"dc": {"axis": a, "angle": 1}})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append((main(["identify", path]), capsys.readouterr()))
+        assert runs[0][0] == EXIT_DC
+        assert runs[0] == runs[1]
+
     def test_delta_below_twice_epsilon_exits_two(self, tmp_path, capsys):
         # with these thresholds exact mode would call this state a direct cause
         path = write_json(tmp_path / "cc.json", {"cc_bell_diagonal": [0, 0.5, 0.45, 0.05]})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcausal.bench import _edge_grid, _plane_grid
+from qcausal.bench import _edge_grid, _plane_grid, exact_margin
 from qcausal.comb import (
     CommonCause,
     DirectCause,
@@ -495,6 +495,106 @@ class TestExactNeverWrong:
             result = identify(make_oracle(mechanism))
             assert result.verdict == "CC"
             assert result.query_count <= 25
+
+
+_stop_mechanisms = st.one_of(
+    _channels,
+    _states,
+    st.integers(0, 2**32 - 1).map(haar_unitary),
+    st.builds(random_state, st.sampled_from(["mixed", "pure"]), st.integers(0, 2**32 - 1)),
+    # ambiguous-plane pairs: every verdict comes from the flipped round
+    st.sampled_from([m for _, pair in _plane_grid(6) for m in pair.values()]),
+)
+
+
+def _probe_criteria(history, rounds_used):
+    """(query index, criterion) of every probe in a full run's history: ``1 - C33`` or the distance to the target."""
+    if rounds_used == 1:
+        return [(i, float(1.0 - r.correlations[2])) for i, r in enumerate(history) if i > 0]
+    probes, i = [], 1
+    while i < len(history):  # each flip query is followed by one probe per axis candidate of its vector
+        k = len(axis_candidates(history[i].correlations))
+        probes += [(j, distance(history[j].correlations, SECOND_ROUND_TARGET)) for j in range(i + 1, i + 1 + k)]
+        i += 1 + k
+    return probes
+
+
+def _edge_margins(probes, threshold):
+    """Margins at, and one ulp either side of, each probe's distance below ``threshold``: the stop rule's edges."""
+    edges = [threshold - c for _, c in probes]
+    return edges + [float(np.nextafter(e, side)) for e in edges for side in (-np.inf, np.inf)]
+
+
+def _check_stopped_run(scenario, shots, stop_margin):
+    """A run with ``stop_margin`` replays the full run's queries up to the first probe the rule accepts, then stops."""
+    full_oracle, oracle = (make_oracle(scenario, shots=shots, seed=11) for _ in range(2))
+    full = identify(full_oracle)
+    stopped = identify(oracle, stop_margin=stop_margin)
+    assert stopped.verdict == full.verdict
+    probes = _probe_criteria(full_oracle.history, full.rounds_used)
+    settling = [j for j, c in probes if c < full.threshold and full.threshold - c >= stop_margin]
+    assert stopped.query_count == (settling[0] + 1 if settling else full.query_count)
+    for a, b in zip(oracle.history, full_oracle.history):
+        for x, y in ((a.modifier_x, b.modifier_x), (a.modifier_y, b.modifier_y), (a.correlations, b.correlations)):
+            np.testing.assert_array_equal(x, y)
+        assert (a.counts is None) == (b.counts is None)
+        if shots:
+            assert [c.counts.tolist() for c in a.counts] == [c.counts.tolist() for c in b.counts]
+    if settling:
+        # it stopped at a probe that settles DC by the margin, and reported that probe
+        assert stopped.verdict == "DC"
+        assert stopped.threshold - stopped.criterion_value >= stop_margin
+        np.testing.assert_array_equal(stopped.winning_modifier, oracle.history[-1].modifier_x)
+    return full_oracle.history, full
+
+
+class TestStopMargin:
+    """``stop_margin`` ends a run at the probe that settles its verdict, and changes nothing before it."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_stop_mechanisms, st.sampled_from([0, 1000]), st.data())
+    def test_stopped_run_is_a_prefix_of_the_full_run(self, scenario, shots, data):
+        history, full = _check_stopped_run(scenario, shots, 0.0)
+        edges = _edge_margins(_probe_criteria(history, full.rounds_used), full.threshold)
+        _check_stopped_run(scenario, shots, data.draw(st.sampled_from([0.05, 0.3] + edges)))
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_every_edge_margin_stops_where_the_rule_says(self, shots):
+        plane = [pair["dc"] for _, pair in _plane_grid(4)]
+        for scenario in [haar_unitary(s) for s in range(20)] + plane:
+            history, full = _check_stopped_run(scenario, shots, 0.0)
+            for stop_margin in _edge_margins(_probe_criteria(history, full.rounds_used), full.threshold):
+                _check_stopped_run(scenario, shots, stop_margin)
+
+    @settings(deadline=None, max_examples=100)
+    @given(_stop_mechanisms, st.sampled_from(["fixed", "at", "above", "below"]), st.sampled_from([0.01, 0.05, 0.3]))
+    def test_margin_pass_excludes_as_the_full_run(self, scenario, where, eta):
+        full_margin = exact_margin(scenario)
+        # a cutoff on the full run's margin or one ulp from it tests the comparison at its edge
+        eta = {
+            "fixed": eta,
+            "at": full_margin,
+            "above": np.nextafter(full_margin, np.inf),
+            "below": np.nextafter(full_margin, 0.0),
+        }[where]
+        if eta <= 0.0:
+            return
+        margin, verdict = exact_margin(scenario, stop_margin=eta)
+        assert (margin < eta) == (full_margin < eta)
+        assert margin <= full_margin
+        assert verdict == identify(make_oracle(scenario)).verdict
+
+    def test_direct_causes_stop_early_and_common_causes_never_do(self):
+        plane = [pair for _, pair in _plane_grid(6)]
+        for mechanisms, stops in (
+            ([haar_unitary(s) for s in range(40)], True),
+            ([pair["dc"] for pair in plane], True),  # in the flipped round
+            ([random_state("mixed", s) for s in range(40)], False),
+            ([pair["cc"] for pair in plane], False),
+        ):
+            full = [identify(make_oracle(m)).query_count for m in mechanisms]
+            stopped = [identify(make_oracle(m), stop_margin=0.0).query_count for m in mechanisms]
+            assert (sum(stopped) < 0.8 * sum(full)) if stops else stopped == full
 
 
 class TestConfig:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,18 @@ class TestUnitaryFromAxisAngle:
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError):
             unitary_from_axis_angle(np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize(
+        "axis, plain", [([1e200, 1e200, 0], [1, 1, 0]), ([1e-200, 0, 0], [1, 0, 0]), ([3e-160, 0, 0], [1, 0, 0]),
+                        ([-1e-320, 0, 0], [-1, 0, 0]), ([1e308, -1e308, 1e308], [1, -1, 1])]
+    )
+    def test_axis_beyond_the_squares_range_is_its_direction(self, axis, plain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = unitary_from_axis_angle(axis, 1.0)
+        np.testing.assert_array_equal(u, unitary_from_axis_angle(plain, 1.0))
+        unit = np.array(plain) / np.linalg.norm(plain)
+        np.testing.assert_allclose(u, unitary_from_axis_angle(unit, 1.0), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("axis", [[0, 1], [0, 0, 1, 0], [[0, 0, 1]], 1.0, []])
     def test_axis_of_the_wrong_shape_rejected(self, axis):
