@@ -15,6 +15,7 @@ the only access the identification algorithm gets.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -44,26 +45,27 @@ _IDENTITY_FRAME = rotation_from_unitary(_I2)
 _I2.setflags(write=False)
 _IDENTITY_FRAME.setflags(write=False)
 _PAULIS = np.stack([pauli(k) for k in range(4)])
-_SIGMA = _PAULIS[1:]
 
 #: Outcome order used by joint distributions and shot counts.
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 #: Residual bound of a validated density matrix, per dimension.
 _VALIDATION_TOL = 1e-9
+#: Unitarity bound of a channel matrix (Frobenius norm of ``u^dag u - I``).
+_CHANNEL_TOL = _VALIDATION_TOL * 10
 
 
-def _check_density_matrix(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
+def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"{what} must be {dim}x{dim}, got shape {rho.shape}")
+    if rho.shape != (4, 4):
+        raise ValueError(f"two-qubit state must be 4x4, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
-        raise ValueError(f"{what} has non-finite entries")
-    if np.linalg.norm(rho - rho.conj().T) > _VALIDATION_TOL * dim:
-        raise ValueError(f"{what} is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > _VALIDATION_TOL * dim:
-        raise ValueError(f"{what} does not have unit trace")
+        raise ValueError("two-qubit state has non-finite entries")
+    if np.linalg.norm(rho - rho.conj().T) > _VALIDATION_TOL * 4:
+        raise ValueError("two-qubit state is not Hermitian within tolerance")
+    if abs(np.trace(rho).real - 1.0) > _VALIDATION_TOL * 4:
+        raise ValueError("two-qubit state does not have unit trace")
     if np.linalg.eigvalsh(rho).min() < -1e-9:
-        raise ValueError(f"{what} has a negative eigenvalue")
+        raise ValueError("two-qubit state has a negative eigenvalue")
     return rho
 
 
@@ -72,16 +74,6 @@ def _freeze(obj, **arrays):
     for name, value in arrays.items():
         value.setflags(write=False)
         object.__setattr__(obj, name, value)
-
-
-#: Default input marginal of a direct cause, ``0.5 I``, and its Bloch vector:
-#: validated once, shared read-only.
-_MAXIMALLY_MIXED = _check_density_matrix(0.5 * _I2, 2, "input marginal")
-_MAXIMALLY_MIXED_R = np.zeros(3)
-_MAXIMALLY_MIXED.setflags(write=False)
-_MAXIMALLY_MIXED_R.setflags(write=False)
-#: Unitarity bound of a channel matrix (Frobenius norm of ``u^dag u - I``).
-_CHANNEL_TOL = _VALIDATION_TOL * 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +91,7 @@ class TwoQubitState:
     T: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._store(_check_density_matrix(self.rho, 4, "two-qubit state"))
+        self._store(_check_density_matrix(self.rho))
 
     @classmethod
     def _trusted(cls, rho: np.ndarray) -> TwoQubitState:
@@ -119,17 +111,14 @@ class TwoQubitState:
 class DirectCause:
     """Mechanism sending the X system through a unitary channel to Y.
 
-    The input marginal defaults to the maximally mixed state, the regime in
-    which the X-side repreparation introduces no signaling; that default is
-    one shared read-only array, validated once, while a caller-supplied
-    marginal is validated in full.  Construction also stores the input Bloch
-    vector ``r`` and the rotation ``R`` of the unitary: for directions ``a``,
-    ``b``, ``p(x, y) = (1 + x a.r) (1 + x y b^T R a) / 4``.
+    The channel's input is maximally mixed: an input with Bloch vector ``r`` would give
+    ``p(x, y) = (1 + x r.a) (1 + x y b^T R a) / 4`` for directions ``a``, ``b``, with the
+    correlations ``b^T R a`` of every ``r`` and a Y marginal ``(1 + y (r.a) b^T R a) / 2``
+    that moves with X's setting unless ``r = 0``, which is signalling.  Construction
+    stores the rotation ``R`` of the unitary, so ``p(x, y) = (1 + x y b^T R a) / 4``.
     """
 
     unitary: np.ndarray
-    input_marginal: np.ndarray = field(default_factory=lambda: _MAXIMALLY_MIXED)
-    r: np.ndarray = field(init=False, repr=False)
     R: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -141,12 +130,6 @@ class DirectCause:
         except ValueError:
             raise ValueError("channel matrix is not unitary within tolerance") from None
         object.__setattr__(self, "unitary", u)
-        if self.input_marginal is _MAXIMALLY_MIXED:
-            object.__setattr__(self, "r", _MAXIMALLY_MIXED_R)
-        else:
-            rho_in = _check_density_matrix(self.input_marginal, 2, "input marginal")
-            object.__setattr__(self, "input_marginal", rho_in)
-            _freeze(self, r=np.einsum("ij,kji->k", rho_in, _SIGMA).real)
         _freeze(self, R=R)
 
 
@@ -221,8 +204,7 @@ def _probability_table(scenario, ox, oy) -> list:
 
     Setting k measures along ``a = ox[:, k]`` and ``b = oy[:, k]``, and
     ``p(x, y) = (1 + x mx + y my + x y c) / 4``: ``(mx, my, c)`` is
-    ``(a.s, b.t, a^T T b)`` for a common cause and ``(a.r, c a.r, b^T R a)``
-    for a direct cause, the expansion of ``(1 + x a.r) (1 + x y b^T R a) / 4``.
+    ``(a.s, b.t, a^T T b)`` for a common cause and ``(0, 0, b^T R a)`` for a direct cause.
     """
     # Only the frame products go through BLAS: products with the signs +-1/4 are exact, and
     # ``_column_sums`` and ``_row`` sum in the order of the gemm kernel and numpy's reduces, as
@@ -230,20 +212,15 @@ def _probability_table(scenario, ox, oy) -> list:
     # exact identity frame only adds signed zeros, which ``0.25 + ...`` absorbs.
     plain = ox is _IDENTITY_FRAME and oy is ox
     if isinstance(scenario, DirectCause):
-        r, R = scenario.r, scenario.R
+        R = scenario.R
         c = R.diagonal().tolist() if plain else _column_sums(R.dot(ox), oy)
-        if r is _MAXIMALLY_MIXED_R:
-            # mx = my = 0 (signed zeros, absorbed too), so p0 = p3 and p1 = p2
-            return [_row(0.0, 0.0, 0.25 * k) for k in c]
-        mx = r.tolist() if plain else r.dot(ox).tolist()
-        my = [a * k for a, k in zip(mx, c)]
-    elif isinstance(scenario, CommonCause):
-        state = scenario.state
-        s, t = (state.s, state.t) if plain else (state.s.dot(ox), state.t.dot(oy))
-        mx, my = s.tolist(), t.tolist()
-        c = state.T.diagonal().tolist() if plain else _column_sums(state.T.dot(oy), ox)
-    else:
+        return [_row(0.0, 0.0, 0.25 * k) for k in c]  # p0 = p3 and p1 = p2
+    if not isinstance(scenario, CommonCause):
         raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
+    state = scenario.state
+    s, t = (state.s, state.t) if plain else (state.s.dot(ox), state.t.dot(oy))
+    mx, my = s.tolist(), t.tolist()
+    c = state.T.diagonal().tolist() if plain else _column_sums(state.T.dot(oy), ox)
     return [_row(0.25 * a, 0.25 * b, 0.25 * k) for a, b, k in zip(mx, my, c)]
 
 
@@ -341,13 +318,18 @@ def _complex_to_pairs(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _pair(entry) -> complex:
+    """``complex(re, im)`` of an entry of exactly two real numbers; anything else raises ``TypeError``."""
+    if len(entry) != 2 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entry):
+        raise TypeError(f"not a pair of numbers: {entry!r}")
+    return complex(*entry)
+
+
 def _pairs_to_complex(rows, dim: int, what: str) -> np.ndarray:
     try:
-        m = np.asarray(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows], dtype=complex
-        )
-    except (TypeError, IndexError) as exc:
-        raise ScenarioFormatError(f"{what} entries must be [re, im] pairs") from exc
+        m = np.asarray([[_pair(entry) for entry in row] for row in rows], dtype=complex)
+    except TypeError as exc:
+        raise ScenarioFormatError(f"{what} entries must be [re, im] pairs of numbers") from exc
     if m.shape != (dim, dim):
         raise ScenarioFormatError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
     return m

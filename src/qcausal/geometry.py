@@ -40,11 +40,12 @@ CC_VERTICES = np.array([
 ])
 
 
-#: Read-only barycentric maps, the transposed inverses of the columns ``[1, v_i]``:
+#: Barycentric maps, the transposed inverses of the columns ``[1, v_i]``:
 #: ``[1, C11, C22, C33] @ DC_TETRA`` weighs the Pauli channels, ``@ CC_TETRA`` the Bell states.
 DC_TETRA = np.linalg.inv(np.vstack([np.ones(4), DC_VERTICES.T])).T
 CC_TETRA = np.linalg.inv(np.vstack([np.ones(4), CC_VERTICES.T])).T
-DC_TETRA.flags.writeable = CC_TETRA.flags.writeable = False
+# all four are read-only: a write would move every later verdict
+DC_VERTICES.flags.writeable = CC_VERTICES.flags.writeable = DC_TETRA.flags.writeable = CC_TETRA.flags.writeable = False
 
 
 def barycentric(point: np.ndarray, tetra: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .comb import MeasurementOracle, OracleRecord
-from .geometry import distance, plane_gap
+from .geometry import DC_VERTICES, distance, plane_gap
 from .linalg import X_AXIS, Y_AXIS, Z_AXIS, pauli, unitary_from_axis_angle
 # Unused here; bound so the per-layer benchmark tracer can wrap it on this module.
 from .linalg import rotation_from_unitary  # noqa: F401
@@ -40,8 +40,8 @@ __all__ = [
 
 _SX = pauli(1)
 
-#: Correlation vector of the Pauli-z channel, the target of the flipped round.
-SECOND_ROUND_TARGET = np.array([-1.0, -1.0, 1.0])
+#: Correlation vector ``(-1, -1, 1)`` of the Pauli-z channel, the target of the flipped round (read-only).
+SECOND_ROUND_TARGET = DC_VERTICES[3]
 #: Plane gaps below ``delta + _PLANE_GUARD`` take the flipped round (see ``AlgoConfig``).
 _PLANE_GUARD = 1e-12
 #: ``1 - cos(theta)`` or summed axis weights below this leave +z as the only candidate axis.

@@ -26,9 +26,10 @@ _PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
-Z_AXIS = np.array([0.0, 0.0, 1.0])
+_AXES = np.eye(3)
+_AXES.flags.writeable = False
+#: Read-only unit vectors, rows of one read-only identity.
+X_AXIS, Y_AXIS, Z_AXIS = _AXES
 
 
 def pauli(k: int) -> np.ndarray:

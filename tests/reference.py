@@ -203,9 +203,9 @@ def _joint_probs(scenario, ax, ay) -> np.ndarray:
     """
     proj_x, proj_y = _projectors(ax), _projectors(ay)
     if isinstance(scenario, DirectCause):
-        # p(x, y) = Tr[P_x rho_in] Tr[P_y U P_x U^dag]
+        # p(x, y) = Tr[P_x rho_in] Tr[P_y U P_x U^dag], with the maximally mixed input rho_in = I / 2
         u = scenario.unitary
-        px = np.einsum("...xab,ba->...x", proj_x, scenario.input_marginal).real
+        px = np.einsum("...xab,ba->...x", proj_x, 0.5 * _I2).real
         propagated = u @ proj_x @ u.conj().T
         probs = px[..., :, None] * np.einsum("...yab,...xba->...xy", proj_y, propagated).real
     elif isinstance(scenario, CommonCause):
@@ -221,9 +221,9 @@ def _joint_probs(scenario, ax, ay) -> np.ndarray:
 def exact_joint(scenario: Scenario, obs_x: ObservableSpec, obs_y: ObservableSpec) -> JointDistribution:
     """Exact joint outcome distribution of the two measurements.
 
-    For a direct cause the X measurement projects, the outcome eigenstate is
-    reprepared, and the channel propagates it to Y:
-    ``p(x, y) = Tr[P_x rho_in] Tr[P_y U P_x U^dag]``.  For a common cause
+    For a direct cause the X measurement projects the maximally mixed input
+    ``rho_in = I / 2``, the outcome eigenstate is reprepared, and the channel
+    propagates it to Y: ``p(x, y) = Tr[P_x rho_in] Tr[P_y U P_x U^dag]``.  For a common cause
     ``p(x, y) = Tr[rho (P_x (x) P_y)]``.
     """
     return JointDistribution(_joint_probs(scenario, obs_x.bloch_direction(), obs_y.bloch_direction()))
@@ -356,10 +356,10 @@ def probability_table_matmul(scenario, ox, oy) -> np.ndarray:
     """``qcausal.comb._probability_table`` with ``@`` products and ``.sum`` reductions."""
     plain = ox is _IDENTITY_FRAME and oy is ox
     if isinstance(scenario, DirectCause):
-        r, R = scenario.r, scenario.R
-        mx = r if plain else r @ ox
+        # the maximally mixed input: no local terms
+        R = scenario.R
+        mx = my = np.zeros(3)
         c = R.diagonal() if plain else ((R @ ox) * oy).sum(axis=0)
-        my = mx * c
     else:
         state = scenario.state
         mx, my = (state.s, state.t) if plain else (state.s @ ox, state.t @ oy)

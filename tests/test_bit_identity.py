@@ -23,7 +23,6 @@ from qcausal import bench
 from qcausal.comb import (
     _I2,
     _IDENTITY_FRAME,
-    _MAXIMALLY_MIXED_R,
     CommonCause,
     DirectCause,
     OracleRecord,
@@ -222,8 +221,6 @@ def _mechanism(kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "channel":
         return haar_unitary(rng)
-    if kind == "channel with a marginal":
-        return DirectCause(haar_unitary_matrix(rng), _qubit_state(rng))
     if kind == "bell":
         return bell_diagonal(np.eye(4)[seed % 4])
     if kind == "product":
@@ -231,7 +228,7 @@ def _mechanism(kind, seed):
     return random_state(kind, rng)
 
 
-MECHANISMS = ["channel", "channel with a marginal", "mixed", "pure", "bell", "product"]
+MECHANISMS = ["channel", "mixed", "pure", "bell", "product"]
 
 
 def _modifiers(frames, rng):
@@ -285,8 +282,6 @@ class TestScalarSignProducts:
     def test_table_and_correlations(self, kind, frames, seed):
         rng = np.random.default_rng(seed)
         scenario = _mechanism(kind, seed)
-        # a channel built without a marginal takes the shortcut that skips ``r.dot(ox)``
-        assert (getattr(scenario, "r", None) is _MAXIMALLY_MIXED_R) == (kind == "channel")
         record = _measure(scenario, *_modifiers(frames, rng), 0, None)
         want = probability_table_matmul(scenario, record.ox, record.oy)
         assert same_bits(_probability_table(scenario, record.ox, record.oy), want)

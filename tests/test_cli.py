@@ -91,6 +91,26 @@ class TestIdentifyCommand:
         assert "weights" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # with their third components dropped, these two would be the identity channel (exit 0) ...
+            {"dc_matrix": [[[1, 0, 99], [0, 0]], [[0, 0], [1, 0, "x"]]]},
+            # ... and the maximally mixed state (exit 1)
+            {"cc_matrix": [[[0.25, 0, 7] if i == j else [0, 0] for j in range(4)] for i in range(4)]},
+            # booleans are not numbers in JSON, though ``complex(True, 0)`` and ``complex(0.25, False)`` accept them
+            {"dc_matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            {"cc_matrix": [[[0.25, False] if i == j else [0, 0] for j in range(4)] for i in range(4)]},
+        ],
+        ids=["dc-third-component", "cc-third-component", "dc-boolean", "cc-boolean"],
+    )
+    def test_entry_that_is_not_two_numbers_exits_two(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path / "bad.json", doc)
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "entries must be [re, im] pairs of numbers" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("axis", [[0, 1], [0, 0, 1, 0]])
     def test_axis_of_the_wrong_length_exits_two(self, tmp_path, capsys, axis):
         # exit 1 would read as a common-cause verdict

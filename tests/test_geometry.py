@@ -11,7 +11,37 @@ from qcausal.geometry import (
     distance,
     plane_gap,
 )
+from qcausal.identify import SECOND_ROUND_TARGET
+from qcausal.linalg import X_AXIS, Y_AXIS, Z_AXIS
 from reference import RegionLabel, classify_region, member
+
+CONSTANTS = {
+    "DC_VERTICES": DC_VERTICES,
+    "CC_VERTICES": CC_VERTICES,
+    "DC_TETRA": DC_TETRA,
+    "CC_TETRA": CC_TETRA,
+    "X_AXIS": X_AXIS,
+    "Y_AXIS": Y_AXIS,
+    "Z_AXIS": Z_AXIS,
+    "SECOND_ROUND_TARGET": SECOND_ROUND_TARGET,
+}
+
+
+@pytest.mark.parametrize("name", CONSTANTS)
+def test_public_constants_are_read_only(name):
+    # a write would move every later verdict, as it did when the flipped round's target could be edited
+    constant = CONSTANTS[name]
+    before = constant.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        constant[...] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        constant[0] = 7.0
+    assert constant.tobytes() == before.tobytes()
+
+
+def test_second_round_target_is_the_pauli_z_vertex():
+    assert SECOND_ROUND_TARGET.tolist() == [-1.0, -1.0, 1.0]
+    assert SECOND_ROUND_TARGET.base is DC_VERTICES
 
 
 class TestBarycentric:

@@ -58,7 +58,7 @@ class TestBellStates:
         state = bell_diagonal(w).state
         outer = sum(max(float(p), 0.0) * np.outer(bell_ket(k), bell_ket(k).conj()) for k, p in enumerate(w))
         assert state.rho.tobytes() == outer.tobytes()
-        checked = TwoQubitState(_check_density_matrix(state.rho, 4, "two-qubit state"))
+        checked = TwoQubitState(_check_density_matrix(state.rho))
         for name in ("s", "t", "T"):
             got, want = getattr(state, name), getattr(checked, name)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -67,7 +67,7 @@ class TestBellStates:
 
     @pytest.mark.parametrize("weights", [[-1e-12, 0.5, 0.5, 1e-12], [0.25 + 5e-10, 0.25, 0.25, 0.25 - 1e-12]])
     def test_weights_at_the_tolerances_pass_the_full_check(self, weights):
-        _check_density_matrix(bell_diagonal(weights).state.rho, 4, "two-qubit state")
+        _check_density_matrix(bell_diagonal(weights).state.rho)
 
 
 class TestEdgeFamily:
