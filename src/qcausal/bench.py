@@ -3,9 +3,9 @@
 The sweep runs ``identify`` on the direct-cause and common-cause
 realization of every grid point, producing one flat record per mechanism per
 point.  It reports the alignment criterion for every point and, for points
-near the ambiguous plane, the flipped-round distance.  In sampled mode the
-criterion carries its closed-form standard deviation and the distance a
-bootstrap one, obtained by resampling the observed counts.
+near the ambiguous plane, the flipped-round distance.  In sampled mode both
+carry a closed-form standard deviation: the delta-method spread of the
+quantity under the binomial law of the deciding query's parity counts.
 """
 
 from __future__ import annotations
@@ -127,15 +127,14 @@ def bootstrap_errorbars(
 ) -> np.ndarray:
     """Standard deviations of derived quantities under count resampling.
 
-    Each setting is resampled independently at its empirical frequencies, and
-    ``derive`` (default: identity) maps the ``(resamples, settings)`` array of
-    recomputed correlations to ``(resamples,)`` or ``(resamples, m)`` quantities.
+    Nothing in the package calls it: both sweep deviations are closed-form.  It stays while the per-layer
+    benchmark tracer wraps it by name.  Each setting is resampled independently at its empirical frequencies,
+    and ``derive`` (default: identity) maps the ``(resamples, settings)`` array of recomputed correlations to
+    ``(resamples,)`` or ``(resamples, m)`` quantities.
 
-    A correlation reads only the parity ``n(x=y) - n(x!=y) = 2 * same - shots``,
-    so only ``same`` is drawn, as ``Binomial(shots, f0 + f3)``.  That is the law
-    of ``n0 + n3`` in a ``Multinomial(shots, f)`` resample of the four outcomes,
-    so the resampled correlations are distributed exactly as under the full
-    multinomial bootstrap.
+    A correlation reads only the parity ``n(x=y) - n(x!=y) = 2 * same - shots``, so only ``same`` is drawn, as
+    ``Binomial(shots, f0 + f3)``: the law of ``n0 + n3`` in a ``Multinomial(shots, f)`` resample of the four
+    outcomes, so the resampled correlations are distributed exactly as under the full multinomial bootstrap.
     """
     counts = list(counts)
     if not counts:
@@ -161,27 +160,33 @@ def bootstrap_errorbars(
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _target_distances(c: np.ndarray) -> np.ndarray:
-    """Row-wise distance to ``(-1, -1, 1)``, column by column in the order of numpy's axis-1 reduce."""
-    t0, t1, t2 = SECOND_ROUND_TARGET.tolist()
-    d0, d1, d2 = c[:, 0] - t0, c[:, 1] - t1, c[:, 2] - t2
-    return np.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
+def _correlation(c: ShotCounts) -> float:
+    """The correlation of ``c``, computed from its parity as the oracle computes it."""
+    n0, n1, n2, n3 = c.counts.tolist()
+    return (n0 - n1 - n2 + n3) / c.shots
 
 
 def _correlation_std(c: ShotCounts) -> float:
-    """``sqrt((1 - C^2) / N)`` of the correlation ``C`` of ``c``, computed as the oracle computes it.
-
-    The exact limit of the parity bootstrap, whose resampled ``C`` is ``(2 Binomial(N, (1 + C) / 2) - N) / N``.
-    """
-    n0, n1, n2, n3 = c.counts.tolist()
-    corr = (n0 - n1 - n2 + n3) / c.shots
+    """``sqrt((1 - C^2) / N)`` of the correlation ``C`` of ``c``: the exact limit of the parity bootstrap."""
+    corr = _correlation(c)
     return math.sqrt((1.0 - corr * corr) / c.shots)
 
 
-def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed, resamples):
-    """One mechanism's sweep record; the ``SeedSequence`` ``seed`` seeds its oracle and bootstrap."""
-    oracle_seed, bootstrap_seed = seed.spawn(2)
-    oracle = make_oracle(scenario, shots=shots, seed=oracle_seed)
+def _distance_std(counts: Sequence[ShotCounts], d: float) -> float:
+    """Delta-method ``sqrt(sum_k (C_k - t_k)^2 (1 - C_k^2) / N) / d`` of the distance ``d`` of ``counts`` to ``t``.
+
+    ``t`` is ``(-1, -1, 1)``.  At ``d == 0`` every ``C_k`` is ``t_k = +-1``, whose binomial spread is 0.
+    """
+    if d == 0.0:
+        return 0.0
+    corr = [_correlation(c) for c in counts]
+    var = sum((x - t) ** 2 * (1.0 - x * x) / c.shots for x, t, c in zip(corr, SECOND_ROUND_TARGET.tolist(), counts))
+    return math.sqrt(var) / d
+
+
+def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed):
+    """One mechanism's sweep record; the first child of the ``SeedSequence`` ``seed`` seeds its oracle."""
+    oracle = make_oracle(scenario, shots=shots, seed=seed.spawn(1)[0])
     result = identify(oracle, config)
     p0 = oracle.history[0].correlations
     if result.rounds_used == 2:
@@ -199,9 +204,7 @@ def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed, 
         # the criterion is 1 - C33: it reads the third setting only
         std_criterion = _correlation_std(criterion_counts[2])
         if dist is not None:
-            std_distance = float(bootstrap_errorbars(
-                result.counts, derive=_target_distances, resamples=resamples, seed=bootstrap_seed
-            )[0])
+            std_distance = _distance_std(result.counts, dist)
     return SweepRecord(
         family, param, mechanism, tuple(float(x) for x in p0), result.rounds_used,
         criterion, dist, result.verdict, shots, std_criterion, std_distance,
@@ -235,7 +238,6 @@ def run_sweep(
     shots: int = 0,
     seed=None,
     config: AlgoConfig | None = None,
-    resamples: int = 1000,
 ) -> list[SweepRecord]:
     """Run one sweep family over its parameter grid, both mechanisms per point.
 
@@ -248,8 +250,6 @@ def run_sweep(
     config = config or AlgoConfig()
     if grid is not None and grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    if resamples < 100:
-        raise ValueError(f"resamples must be >= 100, got {resamples}")
     if family == "edge":
         grid_iter = _edge_grid(101 if grid is None else int(grid))
     elif family == "plane":
@@ -265,7 +265,7 @@ def run_sweep(
         dc_seed, cc_seed = root.spawn(2)
         for mechanism, child in (("cc", cc_seed), ("dc", dc_seed)):
             records.append(_evaluate_scenario(
-                family, param, mechanism, mechanisms[mechanism], config, shots, child, resamples
+                family, param, mechanism, mechanisms[mechanism], config, shots, child
             ))
     return records
 

@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="edge: number of points (default 101); plane: lattice denominator (default 10)",
     )
-    p.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples per record")
+    p.add_argument("--resamples", type=int, default=1000, help="at least 100; changes no output (closed-form deviations)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
 
@@ -113,14 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     shots = _parse_mode(args.mode)
-    records = run_sweep(
-        args.family,
-        grid=args.grid,
-        shots=shots,
-        seed=args.seed,
-        config=_config_from(args),
-        resamples=args.resamples,
-    )
+    if args.resamples < 100:
+        raise ValueError(f"resamples must be >= 100, got {args.resamples}")
+    records = run_sweep(args.family, grid=args.grid, shots=shots, seed=args.seed, config=_config_from(args))
     summary = sweep_summary(records)
     if args.format == "csv":
         _emit(sweep_records_to_csv(records), args.out)

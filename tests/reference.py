@@ -21,8 +21,8 @@ route to something the package computes another way:
 * the ``@`` and nested-list forms of the rotation of a unitary, the mixed
   random state and the flipped round's modifier products, which the
   package's ``ndarray.dot`` and flat-list forms must match bit for bit;
-* the axis-1 reduce form of the bootstrap's distances to ``(-1, -1, 1)``,
-  which the package's column form must match bit for bit.
+* the row-wise distance to ``(-1, -1, 1)`` as a bootstrap ``derive``, whose
+  Monte Carlo spread the sweep's closed-form ``std_distance`` must match.
 """
 
 from __future__ import annotations
@@ -394,7 +394,6 @@ def second_round_products(v1: np.ndarray, v2: np.ndarray):
     return flip, v1 @ v2, flip @ v2
 
 
-def target_distances_axis1(c: np.ndarray) -> np.ndarray:
-    """Row-wise distance of ``(n, 3)`` samples to ``(-1, -1, 1)`` by one axis-1 reduce."""
-    d = c - SECOND_ROUND_TARGET
-    return np.sqrt(np.add.reduce(d * d, axis=1))
+def target_distances(c: np.ndarray) -> np.ndarray:
+    """Row-wise distance of ``(resamples, 3)`` correlations to ``(-1, -1, 1)``: a bootstrap ``derive``."""
+    return np.linalg.norm(c - SECOND_ROUND_TARGET, axis=1)

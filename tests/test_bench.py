@@ -20,7 +20,7 @@ from qcausal.comb import ShotCounts, make_oracle
 from qcausal.geometry import distance
 from qcausal.identify import SECOND_ROUND_TARGET, AlgoConfig, identify
 from qcausal.scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, random_state
-from reference import correlation
+from reference import correlation, target_distances
 
 
 class TestBootstrap:
@@ -103,27 +103,29 @@ class TestParityBootstrap:
             assert abs(new[:, j].std() - ref[:, j].std()) <= 5 * se_std + 1e-12
 
     def test_criterion_pass_reads_the_third_setting_only(self, monkeypatch):
-        # the criterion's deviation is the closed form of its third-setting counts; only the
-        # flipped round's distance is bootstrapped, once, over all three settings
-        boots, closed = [], []
-        original_boot, original_closed = bench.bootstrap_errorbars, bench._correlation_std
+        # the criterion's deviation is the closed form of its third-setting counts, and the flipped
+        # round's distance the closed form of all three of its settings: nothing is bootstrapped
+        closed, flips = [], []
+        original_closed, original_flip = bench._correlation_std, bench._distance_std
 
-        def boot_recorder(counts, derive=None, *args, **kwargs):
-            boots.append(list(counts))
-            return original_boot(counts, derive, *args, **kwargs)
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("a sweep record was bootstrapped")
 
         def closed_recorder(counts):
             closed.append(counts)
             return original_closed(counts)
 
-        monkeypatch.setattr(bench, "bootstrap_errorbars", boot_recorder)
+        def flip_recorder(counts, d):
+            flips.append(list(counts))
+            return original_flip(counts, d)
+
+        monkeypatch.setattr(bench, "bootstrap_errorbars", no_bootstrap)
         monkeypatch.setattr(bench, "_correlation_std", closed_recorder)
+        monkeypatch.setattr(bench, "_distance_std", flip_recorder)
         for a, rounds in ((0.5, 1), (0.03, 2)):
-            boots.clear()
             closed.clear()
-            r = bench._evaluate_scenario(
-                "edge", f"{a}", "cc", edge_cc(a), AlgoConfig(), 5000, np.random.SeedSequence(6), 200
-            )
+            flips.clear()
+            r = bench._evaluate_scenario("edge", f"{a}", "cc", edge_cc(a), AlgoConfig(), 5000, np.random.SeedSequence(6))
             assert (r.param, r.mechanism, r.shots) == (f"{a}", "cc", 5000)
             assert r.rounds_used == rounds
             (third,) = closed
@@ -131,13 +133,16 @@ class TestParityBootstrap:
             n0, n1, n2, n3 = third.counts.tolist()
             c33 = (n0 - n1 - n2 + n3) / 5000
             assert r.std_criterion == np.sqrt((1.0 - c33 * c33) / 5000) > 0.0
-            assert len(boots) == rounds - 1
+            assert len(flips) == rounds - 1
             if rounds == 2:
                 # the distance reads all three settings of the flipped round
-                (flipped,) = boots
+                (flipped,) = flips
                 assert len(flipped) == 3
                 values = [correlation(c) for c in flipped]
                 assert abs(distance(values, SECOND_ROUND_TARGET) - r.distance) < 1e-12
+                spread = sum((v - t) ** 2 * (1.0 - v * v) for v, t in zip(values, SECOND_ROUND_TARGET.tolist()))
+                assert r.std_distance == pytest.approx(np.sqrt(spread / 5000) / r.distance, rel=1e-12)
+                assert r.std_distance > 0.0
             assert (r.std_distance is None) == (rounds == 1)
 
     def test_sampled_criterion_spread_matches_binomial_prediction(self):
@@ -154,6 +159,40 @@ class TestParityBootstrap:
             else:
                 assert abs(r.std_criterion / predicted - 1.0) < 1e-12
         assert 0 < zero < len(records)
+
+
+class TestDistanceStd:
+    """The flipped round's closed-form ``std_distance`` against a bootstrap of its counts and the Poincare bound."""
+
+    @pytest.mark.parametrize("shots", [1000, 10_000])
+    @pytest.mark.parametrize("family", ["plane", "edge"])
+    def test_matches_the_bootstrap_below_the_poincare_bound(self, family, shots, monkeypatch):
+        calls = []
+        original = bench._distance_std
+
+        def recorder(counts, d):
+            calls.append((list(counts), d, original(counts, d)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(bench, "_distance_std", recorder)
+        records = run_sweep(family, shots=shots, seed=1)
+        assert [r.std_distance for r in records if r.rounds_used == 2] == [std for _, _, std in calls]
+        tally = Counter()
+        for i, (counts, d, std) in enumerate(calls):
+            corr = np.array([correlation(c) for c in counts])
+            assert d == pytest.approx(distance(corr, SECOND_ROUND_TARGET), rel=1e-12)
+            if d == 0.0:
+                tally["zero"] += 1
+                assert std == 0.0
+                continue
+            # the gradient (C - t) / d has unit length, so the spread is at most the largest setting's
+            assert std <= np.sqrt(np.max(1.0 - corr * corr) / shots) * (1.0 + 1e-12)
+            if d > 10 / shots:
+                # 20,000 resamples leave about 0.5% Monte Carlo noise on the bootstrap's spread
+                boot = bootstrap_errorbars(counts, derive=target_distances, resamples=20_000, seed=i)[0]
+                assert boot == pytest.approx(std, rel=0.05)
+                tally["compared"] += 1
+        assert tally["zero"] > 0 and tally["compared"] > 5
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +280,7 @@ class TestSweepPlane:
 
 class TestSampledSweep:
     def test_std_columns_present(self):
-        records = run_sweep("edge", grid=5, shots=2000, seed=3, resamples=150)
+        records = run_sweep("edge", grid=5, shots=2000, seed=3)
         for r in records:
             assert r.shots == 2000
             assert r.std_criterion is not None and r.std_criterion >= 0.0
@@ -251,8 +290,8 @@ class TestSampledSweep:
                 assert r.std_distance is None
 
     def test_sampled_determinism(self):
-        a = run_sweep("edge", grid=5, shots=2000, seed=3, resamples=150)
-        b = run_sweep("edge", grid=5, shots=2000, seed=3, resamples=150)
+        a = run_sweep("edge", grid=5, shots=2000, seed=3)
+        b = run_sweep("edge", grid=5, shots=2000, seed=3)
         assert sweep_records_to_csv(a) == sweep_records_to_csv(b)
 
     def test_rows_match_identify_on_their_oracle_seed(self):
@@ -261,7 +300,7 @@ class TestSampledSweep:
         # seeds are spawned in grid order, "dc" then "cc"; records sort "cc" first
         for i, a in enumerate(np.linspace(0.0, 1.0, 5)):
             for j, (mechanism, scenario) in enumerate((("dc", edge_dc(a)), ("cc", edge_cc(a)))):
-                oracle = make_oracle(scenario, shots=2000, seed=children[2 * i + j].spawn(2)[0])
+                oracle = make_oracle(scenario, shots=2000, seed=children[2 * i + j].spawn(1)[0])
                 result = identify(oracle)
                 row = records[2 * i + (1 - j)]
                 assert (row.param, row.mechanism) == (f"{a:.10g}", mechanism)
@@ -281,15 +320,6 @@ class TestSweepInputs:
     def test_rejects_empty_grid(self, family, grid):
         with pytest.raises(ValueError, match="grid"):
             run_sweep(family, grid=grid)
-
-    @pytest.mark.parametrize("shots", [0, 1000])
-    def test_rejects_too_few_resamples(self, shots, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a record was evaluated before the input check")
-
-        monkeypatch.setattr("qcausal.bench._evaluate_scenario", no_work)
-        with pytest.raises(ValueError, match="resamples"):
-            run_sweep("edge", grid=3, shots=shots, resamples=5)
 
 
 class TestRandomBench:

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qcausal
-from qcausal import bench
 from qcausal.comb import (
     _I2,
     _IDENTITY_FRAME,
@@ -35,7 +34,6 @@ from qcausal.comb import (
 )
 from qcausal.geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, distance
 from qcausal.identify import (
-    SECOND_ROUND_TARGET,
     _symmetric_correlation_estimate,
     axis_candidates,
     modifier_from_axis,
@@ -55,7 +53,6 @@ from reference import (
     rotation_from_unitary_nested,
     second_round_products,
     symmetric_correlation_estimate,
-    target_distances_axis1,
 )
 
 #: Correlation components: the vertices' values, zero, dust on either side of it, and anything.
@@ -174,40 +171,6 @@ class TestRoundZeroFrame:
         shared, fresh = make_oracle(scenario, shots, seed), make_oracle(scenario, shots, seed)
         assert same_bits(shared.query(), fresh.query(pauli(0), pauli(0)))
         assert not shared.history[0].modifier_x.flags.writeable
-
-
-class TestBootstrapDistance:
-    """The column form of ``bench._target_distances`` against the axis-1 reduce and ``norm``."""
-
-    @staticmethod
-    def check(c):
-        got = bench._target_distances(c)
-        assert same_bits(got, target_distances_axis1(c))
-        assert same_bits(got, np.linalg.norm(c - SECOND_ROUND_TARGET, axis=1))
-
-    @settings(deadline=None, max_examples=200)
-    @given(arrays(float, st.tuples(st.integers(1, 40), st.just(3)), elements=component))
-    def test_matches_row_norms(self, c):
-        self.check(c)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_drawn_bootstrap_samples(self, seed):
-        # what the bootstrap hands over: 1000 resampled correlations per setting, one column each
-        rng = np.random.default_rng(seed)
-        shots = int(rng.choice([10, 1000, 100_000]))
-        p = rng.uniform(0.0, 1.0, size=3)
-        self.check((2 * rng.binomial(shots, p, size=(1000, 3)) - shots) / shots)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_samples_at_plus_or_minus_one(self, seed):
-        self.check(np.random.default_rng(seed).choice([-1.0, 1.0], size=(1000, 3)))
-
-    @pytest.mark.parametrize("value", [-1.0, -0.0, 0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("column", range(3))
-    def test_constant_columns(self, value, column):
-        c = np.random.default_rng(column).uniform(-1.0, 1.0, size=(1000, 3))
-        c[:, column] = value
-        self.check(c)
 
 
 def _qubit_state(rng):
