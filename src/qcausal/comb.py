@@ -318,11 +318,17 @@ def _complex_to_pairs(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _reals(values, size: int | None = None) -> list:
+    """The floats of a list of real numbers that are not ``bool``, ``size`` of them if given; else ``TypeError``."""
+    if not isinstance(values, (list, tuple)) or len(values) != (size or len(values)) or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+        raise TypeError(f"expected a list of real numbers, got {values!r}")
+    return [float(v) for v in values]
+
+
 def _pair(entry) -> complex:
     """``complex(re, im)`` of an entry of exactly two real numbers; anything else raises ``TypeError``."""
-    if len(entry) != 2 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entry):
-        raise TypeError(f"not a pair of numbers: {entry!r}")
-    return complex(*entry)
+    return complex(*_reals(entry, 2))
 
 
 def _pairs_to_complex(rows, dim: int, what: str) -> np.ndarray:
@@ -361,19 +367,18 @@ def scenario_from_json(doc: dict) -> Scenario:
     body = doc[key]
     try:
         if key == "dc":
-            axis = np.asarray(body["axis"], dtype=float)
-            angle = float(body["angle"])
-            return DirectCause(unitary_from_axis_angle(axis, angle))
+            (angle,) = _reals([body["angle"]])
+            return DirectCause(unitary_from_axis_angle(_reals(body["axis"]), angle))
         if key == "dc_matrix":
             return DirectCause(_pairs_to_complex(body, 2, "dc_matrix"))
         if key == "cc_bell_diagonal":
             from .scenarios import bell_diagonal
 
-            return bell_diagonal(body)
+            return bell_diagonal(_reals(body))
         return CommonCause(TwoQubitState(_pairs_to_complex(body, 4, "cc_matrix")))
     except ScenarioFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float overflows
         raise ScenarioFormatError(f"invalid scenario under {key!r}: {exc}") from exc
 
 

@@ -111,6 +111,45 @@ class TestIdentifyCommand:
         assert "entries must be [re, im] pairs of numbers" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # read with ``float``, these two were channels (exit 0) ...
+            {"dc": {"axis": ["1", 0, 0], "angle": "1.5"}},
+            {"dc": {"axis": [True, 0, 0], "angle": 1}},
+            {"dc": {"axis": [1, 0, 0], "angle": False}},
+            # ... and these two the Bell state phi+ (exit 1)
+            {"cc_bell_diagonal": ["1", 0, 0, 0]},
+            {"cc_bell_diagonal": [True, False, False, False]},
+            {"cc_bell_diagonal": 1},
+        ],
+        ids=["dc-string", "dc-boolean-axis", "dc-boolean-angle", "cc-string", "cc-boolean", "cc-not-a-list"],
+    )
+    def test_number_that_is_not_a_real_number_exits_two(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path / "bad.json", doc)
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "expected a list of real numbers" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dc": {"axis": [10**400, 0, 0], "angle": 1}},
+            {"dc": {"axis": [1, 0, 0], "angle": 10**400}},
+            {"cc_bell_diagonal": [10**400, 0, 0, 0]},
+            {"dc_matrix": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        ],
+        ids=["dc-axis", "dc-angle", "cc-bell-diagonal", "dc-matrix"],
+    )
+    def test_integer_too_large_for_a_float_exits_two(self, tmp_path, capsys, doc):
+        # it used to escape as an OverflowError traceback, whose exit status 1 reads as a common-cause verdict
+        path = write_json(tmp_path / "big.json", doc)
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "too large" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("axis", [[0, 1], [0, 0, 1, 0]])
     def test_axis_of_the_wrong_length_exits_two(self, tmp_path, capsys, axis):
         # exit 1 would read as a common-cause verdict

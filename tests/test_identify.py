@@ -380,6 +380,15 @@ class TestNoiseStability:
         assert mismatches <= 1
 
 
+_PAULI_PRODUCTS = [[np.kron(pauli(k), pauli(l)) for l in (1, 2, 3)] for k in (1, 2, 3)]
+
+
+def _unpolarised_state(t):
+    """The two-qubit state with no local Bloch vector and correlation matrix ``t``."""
+    rho = (np.eye(4) + sum(t[k, l] * _PAULI_PRODUCTS[k][l] for k in range(3) for l in range(3))) / 4
+    return CommonCause(TwoQubitState(rho))
+
+
 class TestDeltaBoundary:
     # Unpolarised states T = O diag(d) O^T whose diagonal sums to 1 - delta and whose
     # top eigenvalue is 1 - delta/2: they sit exactly on the delta = 2 epsilon bound,
@@ -388,14 +397,10 @@ class TestDeltaBoundary:
         "d", [(0.925, 0.0, -0.075), (0.925, -0.0375, -0.0375), (-0.075, 0.925, 0.0)]
     )
     def test_rotated_boundary_states_take_the_flipped_round(self, d):
-        paulis = [pauli(k) for k in range(4)]
-        basis = [[np.kron(paulis[k], paulis[l]) for l in (1, 2, 3)] for k in (1, 2, 3)]
         rng = np.random.default_rng(1)
         for _ in range(300):
             o = rotation_from_unitary(haar_unitary_matrix(rng))
-            t = o @ np.diag(d) @ o.T
-            rho = (np.eye(4) + sum(t[k, l] * basis[k][l] for k in range(3) for l in range(3))) / 4
-            result = identify(make_oracle(CommonCause(TwoQubitState(rho))))
+            result = identify(make_oracle(_unpolarised_state(o @ np.diag(d) @ o.T)))
             assert result.verdict == "CC"
             assert result.rounds_used == 2
             # the flipped round separates the causes far beyond epsilon_prime
@@ -473,6 +478,28 @@ def _permuted(scenario, u):
 _PERMUTATIONS = st.sampled_from(_axis_permutations())
 
 
+def _boundary_state(seed, s, top):
+    """``T = O diag(d) O^T`` for a Haar rotation ``O``, with ``d`` on the ``delta = 2 epsilon`` bound.
+
+    ``d`` sums to ``1 - delta`` and its top entry, at position ``top``, is ``1 - delta / 2``; the other two
+    are ``s`` and ``-delta / 2 - s``, with ``s`` in ``[-1, 1 - delta / 2]`` so that ``d`` lies in the
+    common-cause tetrahedron (on its face opposite the Bell vertex ``-1, -1, -1``).
+    """
+    delta = AlgoConfig().delta
+    d = [s, -delta / 2 - s]
+    d.insert(top, 1.0 - delta / 2)
+    o = rotation_from_unitary(haar_unitary_matrix(np.random.default_rng(seed)))
+    return _unpolarised_state(o @ np.diag(d) @ o.T)
+
+
+_boundary_states = st.builds(
+    _boundary_state,
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.sampled_from([-1.0, 0.0, -AlgoConfig().delta / 4]), st.floats(-1.0, 1.0 - AlgoConfig().delta / 2)),
+    st.integers(0, 2),
+)
+
+
 class TestExactNeverWrong:
     """Exact mode never misclassifies, within the 25-query budget, before or after permuting the axes."""
 
@@ -495,6 +522,13 @@ class TestExactNeverWrong:
             result = identify(make_oracle(mechanism))
             assert result.verdict == "CC"
             assert result.query_count <= 25
+
+    @settings(deadline=None, max_examples=300)
+    @given(_boundary_states)
+    def test_states_on_the_delta_boundary_are_common_causes(self, scenario):
+        result = identify(make_oracle(scenario))
+        assert result.verdict == "CC"
+        assert result.query_count <= 25
 
 
 _stop_mechanisms = st.one_of(
