@@ -6,6 +6,9 @@ only products with an exact identity, so exact and seeded outputs do not
 depend on which form runs.  Results must have the same
 bytes as the array form: stricter than ``np.array_equal``, which equates
 ``0.0`` and ``-0.0``.
+The one exception is ``TestBootstrapDistance``, which holds a test-side
+bootstrap ``derive`` to a few units in the last place of the package's
+distance.
 """
 
 import ast
@@ -34,6 +37,7 @@ from qcausal.comb import (
 )
 from qcausal.geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, distance
 from qcausal.identify import (
+    SECOND_ROUND_TARGET,
     _symmetric_correlation_estimate,
     axis_candidates,
     modifier_from_axis,
@@ -53,6 +57,7 @@ from reference import (
     rotation_from_unitary_nested,
     second_round_products,
     symmetric_correlation_estimate,
+    target_distances,
 )
 
 #: Correlation components: the vertices' values, zero, dust on either side of it, and anything.
@@ -171,6 +176,51 @@ class TestRoundZeroFrame:
         shared, fresh = make_oracle(scenario, shots, seed), make_oracle(scenario, shots, seed)
         assert same_bits(shared.query(), fresh.query(pauli(0), pauli(0)))
         assert not shared.history[0].modifier_x.flags.writeable
+
+
+class TestBootstrapDistance:
+    """The bootstrap's distance ``derive`` against the flipped round's ``distance``, row by row.
+
+    ``TestDistanceStd`` holds the closed-form ``std_distance`` against a bootstrap
+    whose ``derive`` is ``reference.target_distances``; both must measure the
+    distance the scan reports.  The derive's axis-1 reduce and the scan's BLAS
+    ``dot`` add the three squares in an order that depends on the BLAS core, so
+    the two agree to a few units in the last place, not bit for bit: each side
+    rounds three products, two sums and a root.
+    """
+
+    @staticmethod
+    def check(c):
+        got = target_distances(c)
+        want = np.array([distance(row, SECOND_ROUND_TARGET) for row in c])
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+    @settings(deadline=None, max_examples=200)
+    @given(arrays(float, st.tuples(st.integers(1, 40), st.just(3)), elements=component))
+    def test_matches_row_norms(self, c):
+        self.check(c)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_drawn_bootstrap_samples(self, seed):
+        # what the bootstrap hands over: 1000 resampled correlations per setting, one column each
+        rng = np.random.default_rng(seed)
+        shots = int(rng.choice([10, 1000, 100_000]))
+        p = rng.uniform(0.0, 1.0, size=3)
+        self.check((2 * rng.binomial(shots, p, size=(1000, 3)) - shots) / shots)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_samples_at_plus_or_minus_one(self, seed):
+        # rows on the target's vertex give a distance of exactly 0 on both sides
+        c = np.random.default_rng(seed).choice([-1.0, 1.0], size=(1000, 3))
+        self.check(c)
+        assert np.array_equal(target_distances(c) == 0.0, (c == SECOND_ROUND_TARGET).all(axis=1))
+
+    @pytest.mark.parametrize("value", [-1.0, -0.0, 0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("column", range(3))
+    def test_constant_columns(self, value, column):
+        c = np.random.default_rng(column).uniform(-1.0, 1.0, size=(1000, 3))
+        c[:, column] = value
+        self.check(c)
 
 
 def _qubit_state(rng):
