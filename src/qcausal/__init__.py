@@ -12,7 +12,6 @@ from .comb import (
     DirectCause,
     MeasurementOracle,
     Scenario,
-    ShotCounts,
     TwoQubitState,
     load_scenario,
     make_oracle,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .comb import DirectCause, Scenario, ShotCounts, make_oracle, pauli_vector
+from .comb import DirectCause, Scenario, make_oracle, pauli_vector
 from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, plane_gap
 from .identify import AlgoConfig, SECOND_ROUND_TARGET, alignment_scan, identify
 # Unused here; bound so the per-layer benchmark tracer can wrap or count them on this module.
@@ -120,7 +120,7 @@ class TetraReport:
 # ---------------------------------------------------------------------------
 
 def bootstrap_errorbars(
-    counts: Sequence[ShotCounts],
+    counts: Sequence[tuple[int, int]],
     derive: Callable[[np.ndarray], np.ndarray] | None = None,
     resamples: int = 1000,
     seed=None,
@@ -128,27 +128,27 @@ def bootstrap_errorbars(
     """Standard deviations of derived quantities under count resampling.
 
     Nothing in the package calls it: both sweep deviations are closed-form.  It stays while the per-layer
-    benchmark tracer wraps it by name.  Each setting is resampled independently at its empirical frequencies,
-    and ``derive`` (default: identity) maps the ``(resamples, settings)`` array of recomputed correlations to
-    ``(resamples,)`` or ``(resamples, m)`` quantities.
+    benchmark tracer wraps it by name.  ``counts`` holds one ``(same, shots)`` parity count per setting: ``same``
+    of its ``shots`` shots had equal outcomes.  Each setting is resampled independently at its empirical
+    frequency, and ``derive`` (default: identity) maps the ``(resamples, settings)`` array of recomputed
+    correlations to ``(resamples,)`` or ``(resamples, m)`` quantities.
 
-    A correlation reads only the parity ``n(x=y) - n(x!=y) = 2 * same - shots``, so only ``same`` is drawn, as
-    ``Binomial(shots, f0 + f3)``: the law of ``n0 + n3`` in a ``Multinomial(shots, f)`` resample of the four
-    outcomes, so the resampled correlations are distributed exactly as under the full multinomial bootstrap.
+    A correlation reads only the parity ``2 * same - shots``, so a resample draws ``Binomial(shots, same / shots)``:
+    the law of ``n0 + n3`` when all four outcomes are resampled, so the resampled correlations are distributed
+    exactly as under a bootstrap of the four outcome counts.
     """
     counts = list(counts)
     if not counts:
         raise ValueError("need at least one setting of counts")
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")
-    if any(c.shots < 1 for c in counts):
+    if any(shots < 1 for _, shots in counts):
         raise ValueError("cannot bootstrap zero-shot counts")
     rng = np.random.default_rng(seed)
     corr_samples = np.empty((resamples, len(counts)))
-    for j, c in enumerate(counts):
+    for j, (same, shots) in enumerate(counts):
         # one scalar-p call per setting: a broadcast (resamples, settings) draw is slower
-        same = rng.binomial(c.shots, (c.counts[0] + c.counts[3]) / c.shots, size=resamples)
-        corr_samples[:, j] = (2 * same - c.shots) / c.shots
+        corr_samples[:, j] = (2 * rng.binomial(shots, same / shots, size=resamples) - shots) / shots
     if derive is None:
         values = corr_samples
     else:
@@ -160,27 +160,26 @@ def bootstrap_errorbars(
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _correlation(c: ShotCounts) -> float:
-    """The correlation of ``c``, computed from its parity as the oracle computes it."""
-    n0, n1, n2, n3 = c.counts.tolist()
-    return (n0 - n1 - n2 + n3) / c.shots
+def _correlation(same: int, shots: int) -> float:
+    """The correlation of ``same`` equal outcomes in ``shots``, computed from the parity as the oracle computes it."""
+    return (2 * same - shots) / shots
 
 
-def _correlation_std(c: ShotCounts) -> float:
-    """``sqrt((1 - C^2) / N)`` of the correlation ``C`` of ``c``: the exact limit of the parity bootstrap."""
-    corr = _correlation(c)
-    return math.sqrt((1.0 - corr * corr) / c.shots)
+def _correlation_std(same: int, shots: int) -> float:
+    """``sqrt((1 - C^2) / N)`` of the correlation ``C`` of the parity count: the exact limit of the parity bootstrap."""
+    corr = _correlation(same, shots)
+    return math.sqrt((1.0 - corr * corr) / shots)
 
 
-def _distance_std(counts: Sequence[ShotCounts], d: float) -> float:
+def _distance_std(counts: Sequence[int], shots: int, d: float) -> float:
     """Delta-method ``sqrt(sum_k (C_k - t_k)^2 (1 - C_k^2) / N) / d`` of the distance ``d`` of ``counts`` to ``t``.
 
     ``t`` is ``(-1, -1, 1)``.  At ``d == 0`` every ``C_k`` is ``t_k = +-1``, whose binomial spread is 0.
     """
     if d == 0.0:
         return 0.0
-    corr = [_correlation(c) for c in counts]
-    var = sum((x - t) ** 2 * (1.0 - x * x) / c.shots for x, t, c in zip(corr, SECOND_ROUND_TARGET.tolist(), counts))
+    corr = [_correlation(same, shots) for same in counts]
+    var = sum((x - t) ** 2 * (1.0 - x * x) / shots for x, t in zip(corr, SECOND_ROUND_TARGET.tolist()))
     return math.sqrt(var) / d
 
 
@@ -202,9 +201,9 @@ def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed):
     std_criterion = std_distance = None
     if shots:
         # the criterion is 1 - C33: it reads the third setting only
-        std_criterion = _correlation_std(criterion_counts[2])
+        std_criterion = _correlation_std(criterion_counts[2], shots)
         if dist is not None:
-            std_distance = _distance_std(result.counts, dist)
+            std_distance = _distance_std(result.counts, shots, dist)
     return SweepRecord(
         family, param, mechanism, tuple(float(x) for x in p0), result.rounds_used,
         criterion, dist, result.verdict, shots, std_criterion, std_distance,

@@ -28,7 +28,6 @@ __all__ = [
     "DirectCause",
     "CommonCause",
     "Scenario",
-    "ShotCounts",
     "OUTCOME_PAIRS",
     "pauli_vector",
     "MeasurementOracle",
@@ -46,7 +45,7 @@ _I2.setflags(write=False)
 _IDENTITY_FRAME.setflags(write=False)
 _PAULIS = np.stack([pauli(k) for k in range(4)])
 
-#: Outcome order used by joint distributions and shot counts.
+#: Outcome order of the rows of ``_probability_table``.
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 #: Residual bound of a validated density matrix, per dimension.
 _VALIDATION_TOL = 1e-9
@@ -152,36 +151,6 @@ def _is_count(n) -> bool:
     return 0 <= n <= 2**53 and n == int(n)  # NaN and infinities fail the range test
 
 
-@dataclass(frozen=True, eq=False)
-class ShotCounts:
-    """Coincidence counts per outcome pair from a finite-shot run."""
-
-    counts: np.ndarray
-    shots: int
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if c.shape != (4,) or not all(_is_count(n) for n in c.tolist()):
-            raise ValueError(f"counts must be 4 integers in [0, 2**53], got {self.counts!r}")
-        if not _is_count(self.shots):
-            raise ValueError(f"shots must be an integer in [0, 2**53], got {self.shots!r}")
-        c = c.astype(np.int64)
-        if int(c.sum()) != self.shots:
-            raise ValueError(f"counts sum to {int(c.sum())}, expected {self.shots}")
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "shots", int(self.shots))
-
-    @classmethod
-    def _trusted(cls, rows, shots: int) -> list:
-        """Wrap rows just drawn by ``rng.multinomial(shots, p)`` without re-validating them."""
-        out = []
-        for row in rows:
-            sc = object.__new__(cls)
-            sc.__dict__.update(counts=row, shots=shots)  # the frozen ``__setattr__`` is bypassed
-            out.append(sc)
-        return out
-
-
 def _column_sums(m: np.ndarray, o: np.ndarray) -> list:
     """``c_k = sum_i m[i, k] o[i, k]`` as floats, summed as numpy's axis-0 reduce sums."""
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m.tolist()
@@ -233,15 +202,16 @@ def _measure(scenario, wx, wy, shots, rng) -> OracleRecord:
         # parity signs (1, -1, -1, 1), summed in the order of the BLAS gemv kernel
         correlations = np.array([(p0 - p2) + (p3 - p1) for p0, p1, p2, p3 in table])
         return OracleRecord(wx, wy, correlations, None, ox, oy)
-    # numpy's binomial branches at p = 0 and p = 1/2 and on floor((n + 1) p): on a 2**-42 grid the kernels'
-    # last-bit residues vanish, and rounded rows still sum to 1 within numpy's 1e-12.  ``_row`` yields p in
-    # [0, 1] or NaN, and doubles in [1024, 1025] lie 2**-42 apart: p + 1024 rounds p to the grid, ties to even,
-    # as ``np.rint(p * 2**42) / 2**42`` does, the subtraction is exact (Sterbenz) and NaN stays NaN
-    rows = [rng.multinomial(shots, [(p + 1024.0) - 1024.0 for p in row]) for row in table]
-    # integer parities n0 - n1 - n2 + n3 are exact; the division is the one rounding, and
+    # each setting draws only its count of equal outcomes, the one number its correlation reads.  numpy's
+    # binomial branches at q = 0 and q = 1/2 and on floor((n + 1) q): on a 2**-42 grid the kernels' last-bit
+    # residues vanish.  ``_row`` yields q = p0 + p3 within an ulp of [0, 1] or NaN, and doubles in [1024, 1025]
+    # lie 2**-42 apart: q + 1024 rounds q to the grid, ties to even, as ``np.rint(q * 2**42) / 2**42`` does (sums
+    # up to 1 + 2**-43 to 1, as ``binomial`` needs q <= 1), the subtraction is exact (Sterbenz) and NaN stays NaN
+    same = tuple(rng.binomial(shots, ((p0 + p3) + 1024.0) - 1024.0) for p0, _, _, p3 in table)
+    # integer parities 2 same - shots are exact; the division is the one rounding, and
     # Python's int / int rounds as numpy's float64 division of the same integers <= 2**53 does
-    correlations = [(n0 - n1 - n2 + n3) / shots for n0, n1, n2, n3 in (row.tolist() for row in rows)]
-    return OracleRecord(wx, wy, np.array(correlations), ShotCounts._trusted(rows, shots), ox, oy)
+    correlations = [(2 * n - shots) / shots for n in same]
+    return OracleRecord(wx, wy, np.array(correlations), same, ox, oy)
 
 
 def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None) -> np.ndarray:
@@ -256,8 +226,9 @@ def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None) -> np.nda
 
 
 class OracleRecord(NamedTuple):
-    """One oracle query: the modifiers used, the result, raw counts if sampled, and the frames.
+    """One oracle query: the modifiers used, the result, parity counts if sampled, and the frames.
 
+    ``counts`` holds, per setting, the number of shots whose two outcomes agreed (``None`` in exact mode).
     ``ox`` and ``oy`` are the rotations of ``modifier_x`` and ``modifier_y``,
     one object when both sides passed the same modifier.
     """
@@ -265,7 +236,7 @@ class OracleRecord(NamedTuple):
     modifier_x: np.ndarray
     modifier_y: np.ndarray
     correlations: np.ndarray
-    counts: list | None
+    counts: tuple | None
     ox: np.ndarray
     oy: np.ndarray
 

@@ -86,9 +86,9 @@ class ClassificationResult:
     ``criterion_value`` is ``1 - C33`` of the best aligned frame for
     round-one verdicts and the distance to ``(-1, -1, 1)`` for second-round
     verdicts; ``threshold`` is the cutoff that round compared it with.
-    ``counts`` are the shot counts of the query that value was
-    computed from (``None`` in exact mode); every query is in the oracle's
-    ``history``.
+    ``counts`` are the parity counts of the query that value was computed
+    from, the shots of each setting whose outcomes agreed (``None`` in exact
+    mode); every query is in the oracle's ``history``.
     """
 
     verdict: str
@@ -97,7 +97,7 @@ class ClassificationResult:
     threshold: float
     winning_modifier: np.ndarray | None
     query_count: int = 0
-    counts: list | None = None
+    counts: tuple | None = None
 
 
 class ScanEntry(NamedTuple):

@@ -40,7 +40,6 @@ from qcausal.comb import (
     CommonCause,
     DirectCause,
     Scenario,
-    ShotCounts,
     TwoQubitState,
 )
 from qcausal.geometry import CC_TETRA, DC_TETRA
@@ -236,15 +235,13 @@ def exact_joints(scenario: Scenario, obs_x, obs_y) -> np.ndarray:
     return _joint_probs(scenario, ax, ay)
 
 
-def correlation(src: Union[JointDistribution, ShotCounts]) -> float:
-    """Same-setting correlation ``p(x = y) - p(x != y)``."""
+def correlation(src: Union[JointDistribution, tuple]) -> float:
+    """Same-setting correlation ``p(x = y) - p(x != y)`` of a distribution or of a ``(same, shots)`` parity count."""
     if isinstance(src, JointDistribution):
         f = src.p
-    elif isinstance(src, ShotCounts):
-        f = src.counts / src.shots
-    else:
-        raise TypeError(f"expected JointDistribution or ShotCounts, got {type(src).__name__}")
-    return float(f[0] + f[3] - f[1] - f[2])
+        return float(f[0] + f[3] - f[1] - f[2])
+    same, shots = src
+    return same / shots - (shots - same) / shots
 
 
 class RegionLabel(enum.Enum):

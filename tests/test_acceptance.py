@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from qcausal.bench import bootstrap_errorbars, run_random_bench, run_sweep
-from qcausal.comb import DirectCause, ShotCounts, make_oracle, pauli_vector
+from qcausal.comb import DirectCause, make_oracle, pauli_vector
 from qcausal.geometry import CC_VERTICES, DC_VERTICES
 from qcausal.identify import AlgoConfig, alignment_scan, identify
 from qcausal.linalg import pauli, rotation_from_unitary
@@ -183,7 +183,7 @@ def test_criterion_6_shot_noise_robustness():
 def test_criterion_7_bootstrap_sanity():
     start = time.perf_counter()
     n = 10_000
-    counts = [ShotCounts(np.array([n // 4] * 4), n)]
+    counts = [(n // 2, n)]  # uniform outcomes: half the shots agree
     std = float(bootstrap_errorbars(counts, resamples=1000, seed=7)[0])
     analytic = 1.0 / np.sqrt(n)
     elapsed = time.perf_counter() - start

@@ -16,7 +16,7 @@ from qcausal.bench import (
     sweep_records_to_csv,
     sweep_summary,
 )
-from qcausal.comb import ShotCounts, make_oracle
+from qcausal.comb import make_oracle
 from qcausal.geometry import distance
 from qcausal.identify import SECOND_ROUND_TARGET, AlgoConfig, identify
 from qcausal.scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, random_state
@@ -25,25 +25,25 @@ from reference import correlation, target_distances
 
 class TestBootstrap:
     def test_degenerate_counts_have_zero_spread(self):
-        counts = [ShotCounts(np.array([1000, 0, 0, 0]), 1000)]
+        counts = [(1000, 1000)]
         std = bootstrap_errorbars(counts, resamples=200, seed=0)
         assert std[0] == 0.0
 
     def test_uniform_counts_match_multinomial_std(self):
         n = 10_000
-        counts = [ShotCounts(np.array([n // 4] * 4), n)]
+        counts = [(n // 2, n)]
         std = bootstrap_errorbars(counts, resamples=1000, seed=1)[0]
         analytic = 1.0 / np.sqrt(n)  # var of correlation = (1 - c^2)/N at c = 0
         assert 0.5 * analytic <= std <= 1.5 * analytic
 
     def test_deterministic(self):
-        counts = [ShotCounts(np.array([400, 100, 300, 200]), 1000)] * 3
+        counts = [(600, 1000)] * 3
         a = bootstrap_errorbars(counts, resamples=150, seed=9)
         b = bootstrap_errorbars(counts, resamples=150, seed=9)
         np.testing.assert_array_equal(a, b)
 
     def test_derived_quantities(self):
-        counts = [ShotCounts(np.array([250, 250, 250, 250]), 1000)] * 3
+        counts = [(500, 1000)] * 3
         std = bootstrap_errorbars(
             counts, derive=lambda c: 1.0 - c[:, 2], resamples=200, seed=2
         )
@@ -51,21 +51,22 @@ class TestBootstrap:
         assert 0.0 < std[0] < 0.1
 
     def test_input_validation(self):
-        good = [ShotCounts(np.array([10, 0, 0, 0]), 10)]
+        good = [(10, 10)]
         with pytest.raises(ValueError):
             bootstrap_errorbars(good, resamples=99)
         with pytest.raises(ValueError):
             bootstrap_errorbars([], resamples=200)
         with pytest.raises(ValueError):
-            bootstrap_errorbars([ShotCounts(np.zeros(4, dtype=int), 0)], resamples=200)
+            bootstrap_errorbars([(0, 0)], resamples=200)
 
 
-def _multinomial_correlations(counts, resamples, rng):
-    """Reference bootstrap: resample all four outcomes, then take the parity."""
-    out = np.empty((resamples, len(counts)))
-    for j, c in enumerate(counts):
-        draws = rng.multinomial(c.shots, c.counts / c.shots, size=resamples)
-        out[:, j] = (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / c.shots
+def _multinomial_correlations(tables, resamples, rng):
+    """Reference bootstrap: resample all four outcome counts of each table, then take the parity."""
+    out = np.empty((resamples, len(tables)))
+    for j, table in enumerate(tables):
+        shots = sum(table)
+        draws = rng.multinomial(shots, np.array(table) / shots, size=resamples)
+        out[:, j] = (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / shots
     return out
 
 
@@ -89,13 +90,14 @@ class TestParityBootstrap:
             [700, 50, 200, 50],
             [3, 1, 0, 1],
         ]
-        counts = [ShotCounts(np.array(t), sum(t)) for t in tables]
+        # the bootstrap reads each table's parity count; the reference resamples its four outcomes
+        counts = [(t[0] + t[3], sum(t)) for t in tables]
         seen = []
         std = bootstrap_errorbars(counts, derive=lambda c: seen.append(c) or c, resamples=resamples, seed=3)
         (new,) = seen
         assert new.shape == (resamples, len(counts))
         np.testing.assert_array_equal(std, new.std(axis=0, ddof=1))
-        ref = _multinomial_correlations(counts, resamples, np.random.default_rng(4))
+        ref = _multinomial_correlations(tables, resamples, np.random.default_rng(4))
         for j in range(len(counts)):
             se_mean = np.hypot(new[:, j].std(), ref[:, j].std()) / np.sqrt(resamples)
             se_std = np.hypot(_std_error_of_std(new[:, j]), _std_error_of_std(ref[:, j]))
@@ -111,13 +113,13 @@ class TestParityBootstrap:
         def no_bootstrap(*args, **kwargs):
             raise AssertionError("a sweep record was bootstrapped")
 
-        def closed_recorder(counts):
-            closed.append(counts)
-            return original_closed(counts)
+        def closed_recorder(same, shots):
+            closed.append((same, shots))
+            return original_closed(same, shots)
 
-        def flip_recorder(counts, d):
-            flips.append(list(counts))
-            return original_flip(counts, d)
+        def flip_recorder(counts, shots, d):
+            flips.append([(same, shots) for same in counts])
+            return original_flip(counts, shots, d)
 
         monkeypatch.setattr(bench, "bootstrap_errorbars", no_bootstrap)
         monkeypatch.setattr(bench, "_correlation_std", closed_recorder)
@@ -130,8 +132,9 @@ class TestParityBootstrap:
             assert r.rounds_used == rounds
             (third,) = closed
             assert abs(1.0 - correlation(third) - r.criterion) < 1e-12
-            n0, n1, n2, n3 = third.counts.tolist()
-            c33 = (n0 - n1 - n2 + n3) / 5000
+            same, shots = third
+            assert shots == 5000
+            c33 = (2 * same - 5000) / 5000
             assert r.std_criterion == np.sqrt((1.0 - c33 * c33) / 5000) > 0.0
             assert len(flips) == rounds - 1
             if rounds == 2:
@@ -170,8 +173,8 @@ class TestDistanceStd:
         calls = []
         original = bench._distance_std
 
-        def recorder(counts, d):
-            calls.append((list(counts), d, original(counts, d)))
+        def recorder(counts, n, d):
+            calls.append(([(same, n) for same in counts], d, original(counts, n, d)))
             return calls[-1][2]
 
         monkeypatch.setattr(bench, "_distance_std", recorder)

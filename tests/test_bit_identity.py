@@ -150,8 +150,9 @@ class TestSampledParities:
         w = haar_unitary_matrix(rng)
         for args in ((), (w, w), (w, haar_unitary_matrix(rng))):
             values = oracle.query(*args)
-            counts = np.array([c.counts for c in oracle.history[-1].counts])
-            assert same_bits(values, counts @ PARITY / shots)
+            # equal and unequal outcomes of each setting, times their signs +1 and -1
+            counts = np.array([(same, shots - same) for same in oracle.history[-1].counts])
+            assert same_bits(values, counts @ [1.0, -1.0] / shots)
 
 
 class TestParityDivision:
@@ -300,39 +301,44 @@ class TestScalarSignProducts:
         assert same_bits(_probability_table(scenario, record.ox, record.oy), want)
         assert same_bits(record.correlations, want @ PARITY)
 
-    def test_sampled_counts_are_multinomial_draws_over_the_reference_rows(self):
+    def test_sampled_parities_replay_binomial_draws(self):
         for n, (kind, frames) in enumerate(itertools.product(MECHANISMS, ["same", "distinct", "plain"])):
             rng = np.random.default_rng(n)
             scenario = _mechanism(kind, n)
             record = _measure(scenario, *_modifiers(frames, rng), 100_000, np.random.default_rng([n, 7]))
             draws = np.random.default_rng([n, 7])
-            # the oracle draws from the rows rounded to multiples of 2**-42
-            rows = np.rint(probability_table_matmul(scenario, record.ox, record.oy) * 2.0**42) / 2.0**42
-            want = [draws.multinomial(100_000, p) for p in rows]
-            assert [c.counts.tolist() for c in record.counts] == [w.tolist() for w in want]
+            # each setting draws its equal outcomes at p0 + p3 of the reference row, rounded to a multiple of 2**-42
+            rows = probability_table_matmul(scenario, record.ox, record.oy)
+            q = np.rint((rows[:, 0] + rows[:, 3]) * 2.0**42) / 2.0**42
+            assert record.counts == tuple(draws.binomial(100_000, p) for p in q.tolist())
 
 
 class TestGridRounding:
-    """The rows a sampled query draws from against ``np.rint(p * 2**42) / 2**42``, bit for bit."""
+    """The probability each sampled setting draws from against ``np.rint(q * 2**42) / 2**42``, bit for bit.
+
+    ``q`` is the row's ``p0 + p3``, the probability that the two outcomes agree.
+    """
 
     @staticmethod
     def drawn(monkeypatch, table):
-        # ``_measure`` rounds whatever ``_probability_table`` returns; a recording generator
-        # keeps the probabilities exactly as they reach ``multinomial``
+        # ``_measure`` rounds p0 + p3 of whatever ``_probability_table`` returns; a recording generator
+        # keeps the probabilities exactly as they reach ``binomial``
         seen = []
 
         class Recorder:
-            def multinomial(self, n, p):
-                seen.append(list(p))
-                return np.array([n, 0, 0, 0])
+            def binomial(self, n, p):
+                seen.append(p)
+                return n
 
         monkeypatch.setattr(qcausal.comb, "_probability_table", lambda *frames: table)
         _measure(DirectCause(_I2), _I2, _I2, 10, Recorder())
         return np.array(seen)
 
-    def check(self, monkeypatch, p):
-        p = np.asarray(p, dtype=float).reshape(-1, 4)
-        assert same_bits(self.drawn(monkeypatch, p.tolist()), np.rint(p * 2.0**42) / 2.0**42)
+    def check(self, monkeypatch, q):
+        # rows whose p0 + p3 is exactly q, with q as p0 and as p3 in turn
+        q = np.asarray(q, dtype=float).ravel()
+        table = [[x, 0.5, 0.5, 0.0] if i % 2 else [0.0, 0.5, 0.5, x] for i, x in enumerate(q.tolist())]
+        assert same_bits(self.drawn(monkeypatch, table), np.rint(q * 2.0**42) / 2.0**42)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 2**41 - 2, 2**41 - 1, 2**42 - 2, 2**42 - 1])
     def test_ties_round_to_even(self, monkeypatch, k):
@@ -342,14 +348,30 @@ class TestGridRounding:
         self.check(monkeypatch, [half, 1.0 - half, half / 2, half / 4])
 
     def test_special_values(self, monkeypatch):
-        self.check(monkeypatch, [0.0, 2.0**-1074, 2.0**-43, 0.5, 1.0 - 2.0**-53, 1.0, 2.0**-42, 0.25])
+        # the last two, sums an ulp and a tie above 1, come back to 1
+        self.check(monkeypatch, [0.0, 2.0**-1074, 2.0**-43, 0.5, 1.0 - 2.0**-53, 1.0, 2.0**-42, 0.25,
+                                 1.0 + 2.0**-52, 1.0 + 2.0**-43])
 
     def test_uniform_draws(self, monkeypatch):
         self.check(monkeypatch, np.random.default_rng(18).random(100_000))
 
     def test_nan_stays_nan(self, monkeypatch):
-        got = self.drawn(monkeypatch, [[np.nan, 0.25, np.nan, 0.5]])
-        assert np.isnan(got[0, [0, 2]]).all() and same_bits(got[0, [1, 3]], [0.25, 0.5])
+        got = self.drawn(monkeypatch, [[np.nan, 0.25, 0.25, 0.5], [0.25, 0.25, 0.0, 0.5]])
+        assert np.isnan(got[0]) and same_bits(got[1:], [0.75])
+
+    def test_the_sum_is_rounded_once(self, monkeypatch):
+        # 3 2**-45 alone rounds to 0, twice it to 2**-42
+        assert same_bits(self.drawn(monkeypatch, [[3 * 2.0**-45, 0.5, 0.5, 3 * 2.0**-45]]), [2.0**-42])
+
+    def test_drawn_probabilities_lie_in_the_unit_interval(self, monkeypatch):
+        # ``binomial`` raises above 1, and a normalised p0 + p3 may pass 1 by an ulp: half the rows have
+        # p1 = p2 = 0 (equal local terms, c = 1), where p0 + p3 is the whole normalised row
+        mx, my, c = np.random.default_rng(22).uniform(-1.0, 1.0, size=(3, 200_000))
+        my[::2], c[::2] = mx[::2], 1.0
+        table = [_row(0.25 * a, 0.25 * b, 0.25 * k) for a, b, k in zip(mx.tolist(), my.tolist(), c.tolist())]
+        assert all(p1 == p2 == 0.0 for _, p1, p2, _ in table[::2])
+        q = self.drawn(monkeypatch, table)
+        assert ((0.0 <= q) & (q <= 1.0)).all()
 
 
 class TestDotForms:

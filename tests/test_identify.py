@@ -208,7 +208,7 @@ class TestIdentify:
         for scenario, rounds in ((bell_diagonal([0.0, 0.5, 0.25, 0.25]), 1), (plane_dc([0, 0, 1]), 2)):
             result = identify(make_oracle(scenario, shots=5000, seed=8))
             assert result.rounds_used == rounds
-            values = [correlation(c) for c in result.counts]
+            values = [correlation((same, 5000)) for same in result.counts]
             expected = 1 - values[2] if rounds == 1 else distance(values, SECOND_ROUND_TARGET)
             assert abs(expected - result.criterion_value) < 1e-12
         assert identify(make_oracle(haar_unitary(1))).counts is None
@@ -478,16 +478,18 @@ def _permuted(scenario, u):
 _PERMUTATIONS = st.sampled_from(_axis_permutations())
 
 
-def _boundary_state(seed, s, top):
-    """``T = O diag(d) O^T`` for a Haar rotation ``O``, with ``d`` on the ``delta = 2 epsilon`` bound.
+def _boundary_state(seed, s, top, g):
+    """``T = O diag(d) O^T`` for a Haar rotation ``O``, ``d`` at gap offset ``g`` from the ``delta = 2 epsilon`` bound.
 
-    ``d`` sums to ``1 - delta`` and its top entry, at position ``top``, is ``1 - delta / 2``; the other two
-    are ``s`` and ``-delta / 2 - s``, with ``s`` in ``[-1, 1 - delta / 2]`` so that ``d`` lies in the
-    common-cause tetrahedron (on its face opposite the Bell vertex ``-1, -1, -1``).
+    ``d`` sums to ``1 - delta - g`` and its top entry, at position ``top``, is ``1 - (delta + g) / 2``; the other
+    two are ``s`` and ``-(delta + g) / 2 - s``, with ``s`` held to ``[-1, 1 - (delta + g) / 2]`` so that ``d`` lies
+    in the common-cause tetrahedron (on its face opposite the Bell vertex ``-1, -1, -1``).  ``g = 0`` is the bound
+    itself; a negative ``g`` moves the plane gap below ``delta``, a positive one leaves an alignment margin ``g / 2``.
     """
-    delta = AlgoConfig().delta
-    d = [s, -delta / 2 - s]
-    d.insert(top, 1.0 - delta / 2)
+    half = (AlgoConfig().delta + g) / 2
+    s = min(s, 1.0 - half)
+    d = [s, -half - s]
+    d.insert(top, 1.0 - half)
     o = rotation_from_unitary(haar_unitary_matrix(np.random.default_rng(seed)))
     return _unpolarised_state(o @ np.diag(d) @ o.T)
 
@@ -497,6 +499,7 @@ _boundary_states = st.builds(
     st.integers(0, 2**32 - 1),
     st.one_of(st.sampled_from([-1.0, 0.0, -AlgoConfig().delta / 4]), st.floats(-1.0, 1.0 - AlgoConfig().delta / 2)),
     st.integers(0, 2),
+    st.one_of(st.sampled_from([0.0, -1e-6, 1e-6]), st.floats(-1e-6, 1e-6)),
 )
 
 
@@ -571,9 +574,8 @@ def _check_stopped_run(scenario, shots, stop_margin):
     for a, b in zip(oracle.history, full_oracle.history):
         for x, y in ((a.modifier_x, b.modifier_x), (a.modifier_y, b.modifier_y), (a.correlations, b.correlations)):
             np.testing.assert_array_equal(x, y)
-        assert (a.counts is None) == (b.counts is None)
-        if shots:
-            assert [c.counts.tolist() for c in a.counts] == [c.counts.tolist() for c in b.counts]
+        assert a.counts == b.counts  # parity tuples when sampled, None when exact
+        assert (a.counts is None) == (shots == 0)
     if settling:
         # it stopped at a probe that settles DC by the margin, and reported that probe
         assert stopped.verdict == "DC"
