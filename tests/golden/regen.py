@@ -50,6 +50,8 @@ SAMPLED_COMMANDS = {
     "sampled-identify-plane-2-3-5-dc.json": [
         "identify", "{plane-2-3-5-dc}", "--mode", "shots=10000", "--seed", "7",
     ],
+    # exact correlations of seeded random mechanisms: the membership audit's worst weights
+    "sampled-tetra-check.json": ["tetra-check", "--samples", "500", "--seed", "1"],
 }
 
 

@@ -4,7 +4,8 @@
 exact mode the edge and plane sweeps (CSV and summary) and ``identify`` on the
 scenario documents of ``documents.json``; in sampled mode, with fixed seeds,
 two ``random-bench`` runs, a plane sweep (CSV) and an edge sweep (JSON) with
-their error bars, and ``identify`` on two documents; with every exit code.  The tests rerun the same commands
+their error bars, ``identify`` on two documents and ``tetra-check`` on 500 seeded
+mechanisms; with every exit code.  The tests rerun the same commands
 and compare at two strengths:
 
 * always: exit codes, verdicts, rounds, query counts and every other
