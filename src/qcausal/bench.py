@@ -392,14 +392,15 @@ def run_random_bench(
 _MEMBERSHIP_TOL = 1e-7
 
 
-def _audit(p: np.ndarray, tetra) -> tuple[int, float]:
-    """1 if ``p`` lies outside ``tetra``, else 0, and how far its lowest weight falls below 0.
+def _audit(points: np.ndarray, tetra) -> tuple[int, float]:
+    """How many rows of ``points`` lie outside ``tetra``, and how far the lowest finite weight falls below 0.
 
-    A NaN weight fails every comparison, so ``not w >= -tol`` counts it as outside;
+    A NaN weight fails every comparison, so ``not w >= -tol`` counts its row as outside;
     a non-finite weight adds no depth, which keeps the report valid strict JSON.
     """
-    w = float(barycentric(p, tetra).min())
-    return int(not w >= -_MEMBERSHIP_TOL), (-min(0.0, w) if math.isfinite(w) else 0.0)
+    lowest = barycentric(points, tetra).min(axis=1)  # NaN where any weight of the row is
+    deepest = float(lowest.min(initial=0.0, where=np.isfinite(lowest)))
+    return int(np.count_nonzero(~(lowest >= -_MEMBERSHIP_TOL))), 0.0 - deepest  # 0.0, not -0.0, at deepest = 0
 
 
 def run_tetra_check(samples: int, seed=None) -> TetraReport:
@@ -407,13 +408,11 @@ def run_tetra_check(samples: int, seed=None) -> TetraReport:
     if samples < 1:
         raise ValueError("need at least one sample")
     children = np.random.SeedSequence(seed).spawn(2 * samples)
-    dc_viol = cc_viol = 0
-    worst_dc = worst_cc = 0.0
+    dc_points, cc_points = np.empty((samples, 3)), np.empty((samples, 3))
     for i in range(samples):
-        outside, depth = _audit(pauli_vector(haar_unitary(children[2 * i])), DC_TETRA)
-        dc_viol, worst_dc = dc_viol + outside, max(worst_dc, depth)
-        outside, depth = _audit(pauli_vector(random_state("mixed", children[2 * i + 1])), CC_TETRA)
-        cc_viol, worst_cc = cc_viol + outside, max(worst_cc, depth)
+        dc_points[i] = pauli_vector(haar_unitary(children[2 * i]))
+        cc_points[i] = pauli_vector(random_state("mixed", children[2 * i + 1]))
+    (dc_viol, worst_dc), (cc_viol, worst_cc) = _audit(dc_points, DC_TETRA), _audit(cc_points, CC_TETRA)
 
     pauli_ok = all(
         np.allclose(pauli_vector(DirectCause(pauli(k))), DC_VERTICES[k], atol=1e-9)

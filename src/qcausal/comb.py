@@ -28,7 +28,6 @@ __all__ = [
     "DirectCause",
     "CommonCause",
     "Scenario",
-    "OUTCOME_PAIRS",
     "pauli_vector",
     "MeasurementOracle",
     "make_oracle",
@@ -45,8 +44,6 @@ _I2.setflags(write=False)
 _IDENTITY_FRAME.setflags(write=False)
 _PAULIS = np.stack([pauli(k) for k in range(4)])
 
-#: Outcome order of the rows of ``_probability_table``.
-OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 #: Residual bound of a validated density matrix, per dimension.
 _VALIDATION_TOL = 1e-9
 #: Unitarity bound of a channel matrix (Frobenius norm of ``u^dag u - I``).
@@ -147,8 +144,8 @@ Scenario = Union[DirectCause, CommonCause]
 
 
 def _is_count(n) -> bool:
-    """An integer in ``[0, 2**53]``, past which a parity / shots stops matching numpy's division."""
-    return 0 <= n <= 2**53 and n == int(n)  # NaN and infinities fail the range test
+    """A non-boolean integer in ``[0, 2**53]``, past which a parity / shots stops matching numpy's division."""
+    return not isinstance(n, (bool, np.bool_)) and 0 <= n <= 2**53 and n == int(n)  # NaN, inf fail the range
 
 
 def _column_sums(m: np.ndarray, o: np.ndarray) -> list:
@@ -169,7 +166,7 @@ def _row(x: float, y: float, z: float) -> list:
 
 
 def _probability_table(scenario, ox, oy) -> list:
-    """Outcome probabilities of the three settings, rows ordered as ``OUTCOME_PAIRS``.
+    """Outcome probabilities of the three settings, each row ordered ``(x, y) = (1, 1), (1, -1), (-1, 1), (-1, -1)``.
 
     Setting k measures along ``a = ox[:, k]`` and ``b = oy[:, k]``, and
     ``p(x, y) = (1 + x mx + y my + x y c) / 4``: ``(mx, my, c)`` is

@@ -49,12 +49,14 @@ DC_VERTICES.flags.writeable = CC_VERTICES.flags.writeable = DC_TETRA.flags.write
 
 
 def barycentric(point: np.ndarray, tetra: np.ndarray) -> np.ndarray:
-    """Barycentric weights of one point in a tetrahedron, given by its map ``DC_TETRA`` or ``CC_TETRA``.
+    """Barycentric weights of a point, or of each row of an ``(n, 3)`` batch, in ``DC_TETRA`` or ``CC_TETRA``.
 
     The weights sum to 1 and reproduce the point under the vertex combination.
     """
     p = np.asarray(point, dtype=float)
-    return np.array([1.0, p[0], p[1], p[2]]).dot(tetra)
+    # matmul of (1, 4) rows runs one dgemv per row, so a row has its lone point's bytes; a dgemm moves last bits
+    rows = np.concatenate([np.ones(p.shape[:-1] + (1,)), p], axis=-1)[..., None, :]
+    return np.matmul(rows, tetra)[..., 0, :]
 
 
 def plane_gap(point: np.ndarray) -> float:

@@ -92,12 +92,13 @@ def haar_unitary_matrix(rng: np.random.Generator) -> np.ndarray:
     column normalised, and the second the unit vector orthogonal to it whose
     phase makes ``R[1, 1] = det(Z) / |Z[:, 0]|`` positive.
     """
-    (a, b), (c, d) = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))).tolist()
+    ar, br, cr, dr, ai, bi, ci, di = rng.normal(size=8).tolist()  # Z's real parts row by row, then imaginary
+    a, b, c, d = complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di)
     norm = math.sqrt(abs(a) ** 2 + abs(c) ** 2)
     a, c = a / norm, c / norm
     det = a * d - b * c
     phase = det / abs(det)
-    return np.array([[a, -phase * c.conjugate()], [c, phase * a.conjugate()]])
+    return np.array([a, -phase * c.conjugate(), c, phase * a.conjugate()]).reshape(2, 2)
 
 
 def haar_unitary(seed=None) -> Scenario:

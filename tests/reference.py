@@ -10,7 +10,7 @@ route to something the package computes another way:
   reports axis ``+z``, and at angle ``pi`` the lexicographically larger of
   the two equivalent axes is returned so round trips are deterministic;
 * the batch form of ``barycentric``, and tetrahedron membership and region
-  labels from its weights;
+  labels from its weights; the membership audit point by point;
 * two named pure states;
 * the array form of ``axis_candidates`` and the row-by-row form of the
   refinement probe's least-squares estimate, which the package's scalar and
@@ -21,6 +21,8 @@ route to something the package computes another way:
 * the ``@`` and nested-list forms of the rotation of a unitary, the mixed
   random state and the flipped round's modifier products, which the
   package's ``ndarray.dot`` and flat-list forms must match bit for bit;
+* the Haar unitary from two ``(2, 2)`` Ginibre draws, which the package's
+  one draw of 8 normals must match bit for bit;
 * the row-wise distance to ``(-1, -1, 1)`` as a bootstrap ``derive``, whose
   Monte Carlo spread the sweep's closed-form ``std_distance`` must match.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -36,7 +39,6 @@ import numpy as np
 
 from qcausal.comb import (
     _IDENTITY_FRAME,
-    OUTCOME_PAIRS,
     CommonCause,
     DirectCause,
     Scenario,
@@ -47,6 +49,8 @@ from qcausal.identify import _AXIS_TOL, SECOND_ROUND_TARGET
 from qcausal.linalg import Z_AXIS, pauli, rotation_from_unitary
 from qcausal.scenarios import _BELL_KETS
 
+#: Outcome order ``(x, y)`` of the rows of ``qcausal.comb._probability_table`` and of joint distributions.
+OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _I2 = pauli(0)
 _SIGMA = np.stack([pauli(k) for k in (1, 2, 3)])
 #: Outcome signs +1, -1 along the projector axis of ``_projectors``.
@@ -375,6 +379,32 @@ def barycentric_matmul(point: np.ndarray, tetra: np.ndarray) -> np.ndarray:
     """One-point ``qcausal.geometry.barycentric`` as an ``@`` product."""
     p = np.asarray(point, dtype=float)
     return np.array([1.0, p[0], p[1], p[2]]) @ tetra
+
+
+def barycentric_dot(point: np.ndarray, tetra: np.ndarray) -> np.ndarray:
+    """One-point ``qcausal.geometry.barycentric`` as one ``ndarray.dot``, a BLAS ``dgemv`` call."""
+    p = np.asarray(point, dtype=float)
+    return np.array([1.0, p[0], p[1], p[2]]).dot(tetra)
+
+
+def audit_per_point(points, tetra: np.ndarray, tol: float = 1e-7) -> tuple[int, float]:
+    """``qcausal.bench._audit`` one point at a time: outside count and deepest finite weight below 0."""
+    outside, depth = 0, 0.0
+    for p in points:
+        w = float(barycentric_dot(p, tetra).min())
+        outside += not w >= -tol  # NaN counts as outside
+        depth = max(depth, -min(0.0, w)) if math.isfinite(w) else depth
+    return outside, depth
+
+
+def haar_unitary_matrix_two_draws(rng: np.random.Generator) -> np.ndarray:
+    """``qcausal.scenarios.haar_unitary_matrix`` from two ``(2, 2)`` normal draws and a complex array sum."""
+    (a, b), (c, d) = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))).tolist()
+    norm = math.sqrt(abs(a) ** 2 + abs(c) ** 2)
+    a, c = a / norm, c / norm
+    det = a * d - b * c
+    phase = det / abs(det)
+    return np.array([[a, -phase * c.conjugate()], [c, phase * a.conjugate()]])
 
 
 def mixed_state_rho(seed) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -17,10 +18,10 @@ from qcausal.bench import (
     sweep_summary,
 )
 from qcausal.comb import make_oracle
-from qcausal.geometry import distance
+from qcausal.geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, distance
 from qcausal.identify import SECOND_ROUND_TARGET, AlgoConfig, identify
 from qcausal.scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, random_state
-from reference import correlation, target_distances
+from reference import audit_per_point, correlation, target_distances
 
 
 class TestBootstrap:
@@ -422,7 +423,62 @@ class TestRandomBench:
         assert abs(exact_margin(scenario) - margin) < 1e-12
 
 
+def _crafted_points(vertices: np.ndarray) -> dict:
+    """Correlation vectors by name around a tetrahedron: inside, on it, just outside it, and not finite."""
+    face = vertices[1:].mean(axis=0)  # the centroid of the face opposite vertex 0, where its weight is 0
+    outward = face - vertices[0]  # a step t along it takes vertex 0's weight to -t
+    return {
+        "interior": vertices.mean(axis=0),
+        "vertex": vertices[2],
+        "outside by 2e-7": face + 2e-7 * outward,
+        "within tolerance at -5e-8": face + 5e-8 * outward,
+        "nan": np.array([np.nan, 0.0, 0.0]),
+        "+inf": np.array([np.inf, 0.0, 0.0]),
+        "-inf": np.array([0.0, -np.inf, 0.0]),
+    }
+
+
+_TETRAHEDRA = {"dc": (DC_TETRA, DC_VERTICES), "cc": (CC_TETRA, CC_VERTICES)}
+
+
 class TestTetraCheck:
+    @pytest.mark.parametrize("mechanism", ["dc", "cc"])
+    @pytest.mark.parametrize("name", [*_crafted_points(DC_VERTICES), "all"])
+    def test_audit_matches_the_per_point_audit(self, mechanism, name):
+        tetra, vertices = _TETRAHEDRA[mechanism]
+        crafted = _crafted_points(vertices)
+        points = np.array(list(crafted.values()) if name == "all" else [crafted[name]])
+        got = bench._audit(points, tetra)
+        assert got == audit_per_point(points, tetra)
+        assert type(got[0]) is int and type(got[1]) is float
+
+    @pytest.mark.parametrize("mechanism", ["dc", "cc"])
+    def test_audit_rules_on_crafted_points(self, mechanism):
+        tetra, vertices = _TETRAHEDRA[mechanism]
+        outside, depth = bench._audit(np.array(list(_crafted_points(vertices).values())), tetra)
+        # outside: the point 2e-7 beyond a face, NaN and both infinities; only the finite one adds depth
+        assert outside == 4
+        assert depth == pytest.approx(2e-7, rel=1e-6)
+
+    def test_inside_points_report_a_positive_zero(self):
+        outside, depth = bench._audit(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), DC_TETRA)
+        assert outside == 0 and depth == 0.0 and np.copysign(1.0, depth) == 1.0
+
+    def test_report_on_crafted_points(self, monkeypatch):
+        dc, cc = (np.array(list(_crafted_points(v).values())) for v in (DC_VERTICES, CC_VERTICES))
+        rows = {"dc": iter(dc), "cc": iter(cc)}
+        exact = bench.pauli_vector
+        monkeypatch.setattr(bench, "haar_unitary", lambda seed: "dc")
+        monkeypatch.setattr(bench, "random_state", lambda kind, seed: "cc")
+        # crafted rows for the sampled mechanisms, the exact vectors for the vertex checks
+        monkeypatch.setattr(bench, "pauli_vector", lambda s: next(rows[s]) if isinstance(s, str) else exact(s))
+        report = run_tetra_check(len(dc), seed=1)
+        assert (report.dc_violations, report.worst_dc_weight) == audit_per_point(dc, DC_TETRA)
+        assert (report.cc_violations, report.worst_cc_weight) == audit_per_point(cc, CC_TETRA)
+        assert report.dc_violations == report.cc_violations == 4
+        assert report.pauli_vertices_ok and report.bell_vertices_ok
+        json.dumps(report.to_dict(), allow_nan=False)  # the report stays valid strict JSON
+
     def test_large_sample_has_no_violations(self):
         report = run_tetra_check(10_000, seed=13)
         assert report.dc_violations == 0

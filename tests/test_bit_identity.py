@@ -8,7 +8,8 @@ bytes as the array form: stricter than ``np.array_equal``, which equates
 ``0.0`` and ``-0.0``.
 The one exception is ``TestBootstrapDistance``, which holds a test-side
 bootstrap ``derive`` to a few units in the last place of the package's
-distance.
+distance.  ``TestBatchBarycentric`` and ``TestOneGinibreDraw`` hold a batch
+and a single draw to the per-point and two-draw forms they replace.
 """
 
 import ast
@@ -49,7 +50,9 @@ from reference import axis_candidates as axis_candidates_array
 from reference import _PARITY as PARITY
 from reference import (
     barycentric_batch,
+    barycentric_dot,
     barycentric_matmul,
+    haar_unitary_matrix_two_draws,
     mixed_state_rho,
     pauli_vector_matmul,
     probability_rows_matmul,
@@ -269,10 +272,52 @@ class TestOnePointBarycentric:
         st.sampled_from([DC_TETRA, CC_TETRA]),
     )
     def test_matches_batch_form(self, p, tetra):
-        # and the ``@`` form of the one-point product
+        # and the ``@`` and ``.dot`` forms of the one-point product
         got = barycentric(p, tetra)
         assert same_bits(got, barycentric_batch(p[None], tetra)[0])
         assert same_bits(got, barycentric_matmul(p, tetra))
+        assert same_bits(got, barycentric_dot(p, tetra))
+
+
+class TestBatchBarycentric:
+    """One call for a batch against one ``.dot`` per point: the audit's weights and row minima."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        # 16,000 drawn points, whose components mix the vertices' values, zero and dust around it with
+        # uniform values, and the correlation vectors of 2,000 channels and 2,000 states
+        rng = np.random.default_rng(23)
+        special = rng.choice([-1.0, 0.0, 1.0, 1e-13, -1e-13], size=(16_000, 3))
+        drawn = np.where(rng.random((16_000, 3)) < 0.3, special, rng.uniform(-1.2, 1.2, size=(16_000, 3)))
+        children = np.random.SeedSequence(23).spawn(4_000)
+        channels = [pauli_vector(haar_unitary(child)) for child in children[:2_000]]
+        states = [pauli_vector(random_state("mixed", child)) for child in children[2_000:]]
+        return np.vstack([drawn, channels, states])
+
+    @pytest.mark.parametrize("tetra", [DC_TETRA, CC_TETRA], ids=["dc", "cc"])
+    def test_matches_one_point_at_a_time(self, points, tetra):
+        got = barycentric(points, tetra)
+        want = np.array([barycentric_dot(p, tetra) for p in points])
+        assert len(points) >= 20_000
+        assert same_bits(got, want)
+        assert same_bits(got.min(axis=1), want.min(axis=1))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_small_batches(self, points, n):
+        batch = points[len(points) - n:]
+        want = np.array([barycentric_dot(p, CC_TETRA) for p in batch]).reshape(n, 4)
+        assert same_bits(barycentric(batch, CC_TETRA), want)
+
+
+class TestOneGinibreDraw:
+    def test_matches_two_draws_and_leaves_the_generator_alike(self):
+        for seed in range(2_000):
+            one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = haar_unitary_matrix(one), haar_unitary_matrix_two_draws(two)
+            assert got.shape == want.shape == (2, 2) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), seed
+            # the next draw from the same generator is the same as well
+            assert one.normal(size=3).tobytes() == two.normal(size=3).tobytes(), seed
 
 
 class TestScalarSignProducts:

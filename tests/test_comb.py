@@ -284,6 +284,12 @@ class TestOracle:
         with pytest.raises(ValueError, match="integer"):
             make_oracle(haar_unitary(1), shots=shots, seed=1)
 
+    @pytest.mark.parametrize("shots", [True, False, np.True_, np.False_])
+    def test_boolean_shots_are_rejected(self, shots):
+        # True == 1 and False == 0: they would build a 1-shot oracle and an exact one
+        with pytest.raises(ValueError, match="integer"):
+            make_oracle(haar_unitary(1), shots=shots, seed=1)
+
     @pytest.mark.parametrize("shots", [1e5, np.int64(7), 2**53])
     def test_integral_shots_are_accepted(self, shots):
         oracle = make_oracle(haar_unitary(1), shots=shots, seed=1)
