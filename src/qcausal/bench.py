@@ -324,15 +324,15 @@ def exact_margin(scenario: Scenario, config: AlgoConfig | None = None, *, stop_m
     """Distance of the exact-mode decision quantities to their thresholds.
 
     The minimum over the plane-gap comparison and the criterion of the branch taken; scenarios with a small
-    margin flip verdicts under sampling noise and are excluded from accuracy tallies.  With ``stop_margin``,
-    ``(margin, verdict)`` of a run stopped as ``identify`` stops, whose margin is below it iff the full run's is.
+    margin flip verdicts under sampling noise and are excluded from accuracy tallies.  Returns ``(margin, verdict)``;
+    with ``stop_margin`` the run stops as ``identify`` stops, and its margin is below it iff the full run's is.
     """
     config = config or AlgoConfig()
     oracle = make_oracle(scenario)
     result = identify(oracle, config, stop_margin=stop_margin)
     gap = abs(plane_gap(oracle.history[0].correlations) - config.delta)
     margin = float(min(gap, abs(result.criterion_value - result.threshold)))
-    return margin if stop_margin is None else (margin, result.verdict)
+    return margin, result.verdict
 
 
 def run_random_bench(

@@ -359,6 +359,6 @@ def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
     return scenario_from_json(doc)

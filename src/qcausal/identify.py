@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -193,8 +193,8 @@ def _symmetric_correlation_estimate(p0, records) -> np.ndarray:
     return np.array([[s0, s3, s4], [s3, s1, s5], [s4, s5, s2]])
 
 
-def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig, *, stop=None) -> list[ScanEntry]:
-    """Probe the candidate axes of ``p0`` with same-frame queries, up to the first criterion ``stop`` accepts.
+def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig) -> Iterator[ScanEntry]:
+    """Probe the candidate axes of ``p0`` with same-frame queries, yielding each probe as it is made.
 
     If no candidate reaches the alignment cutoff, one refinement query is
     added: the measured vectors determine (in the least-squares sense) the
@@ -208,13 +208,9 @@ def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig
         v = modifier_from_axis(axis)
         pv = oracle.query(v, v)
         entries.append(ScanEntry(oracle.history[-1], float(1.0 - pv[2])))
-        if stop and stop(entries[-1].criterion):
-            break
+        yield entries[-1]
     if min(e.criterion for e in entries) >= config.epsilon:
-        extra = _refinement_probe(oracle, p0, entries)
-        if extra is not None:
-            entries.append(extra)
-    return entries
+        yield from _refinement_probe(oracle, p0, entries)
 
 
 def _refinement_probe(oracle, p0, entries):
@@ -231,14 +227,14 @@ def _refinement_probe(oracle, p0, entries):
             break
     top = top / norm
     if any(abs(float(top.dot(record.ox[:, 2]))) > 1.0 - 1e-9 for record in records):
-        return None
+        return
     v = modifier_from_axis(top)
     pv = oracle.query(v, v)
-    return ScanEntry(oracle.history[-1], float(1.0 - pv[2]))
+    yield ScanEntry(oracle.history[-1], float(1.0 - pv[2]))
 
 
-def second_round(oracle: MeasurementOracle, v1: np.ndarray, *, stop=None) -> ScanEntry:
-    """Flipped-frame retest of ``v1`` up to the first distance ``stop`` accepts; its probe closest to ``(-1, -1, 1)``.
+def second_round(oracle: MeasurementOracle, v1: np.ndarray) -> Iterator[ScanEntry]:
+    """Flipped-frame retest of ``v1``, yielding each probe's distance to ``(-1, -1, 1)`` as it is made.
 
     The Y-side basis gets an extra Pauli-x conjugation inside the frame of
     ``v1``, which pins the third correlation of the retest input to -1 for
@@ -250,14 +246,10 @@ def second_round(oracle: MeasurementOracle, v1: np.ndarray, *, stop=None) -> Sca
     v1 = np.asarray(v1, dtype=complex)
     v1_flip = v1.dot(_SX)
     p1 = oracle.query(v1, v1_flip)
-    entries = []
     for axis in axis_candidates(p1):
         v2 = modifier_from_axis(axis)
         pv = oracle.query(v1.dot(v2), v1_flip.dot(v2))
-        entries.append(ScanEntry(oracle.history[-1], distance(pv, SECOND_ROUND_TARGET)))
-        if stop and stop(entries[-1].criterion):
-            break
-    return min(entries, key=lambda e: e.criterion)
+        yield ScanEntry(oracle.history[-1], distance(pv, SECOND_ROUND_TARGET))
 
 
 def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, stop_margin=None) -> ClassificationResult:
@@ -274,15 +266,15 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, sto
     p0 = oracle.query()
     flipped = plane_gap(p0) < config.delta + _PLANE_GUARD
     rounds, threshold = (2, config.epsilon_prime) if flipped else (1, config.epsilon)
-    stop = None if stop_margin is None else (lambda c: c < threshold and threshold - c >= stop_margin)
     if flipped:
-        entries = []
-        for axis in axis_candidates(p0):
-            entries.append(second_round(oracle, modifier_from_axis(axis), stop=stop))
-            if stop and stop(entries[-1].criterion):
-                break
+        probes = (e for axis in axis_candidates(p0) for e in second_round(oracle, modifier_from_axis(axis)))
     else:
-        entries = alignment_scan(oracle, p0, config, stop=stop)
+        probes = alignment_scan(oracle, p0, config)
+    entries = []
+    for entry in probes:
+        entries.append(entry)
+        if stop_margin is not None and entry.criterion < threshold and threshold - entry.criterion >= stop_margin:
+            break
     best = min(entries, key=lambda e: e.criterion)
     direct = best.criterion < threshold
     return ClassificationResult(

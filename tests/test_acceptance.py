@@ -67,7 +67,7 @@ def test_criterion_2_alignment_for_haar_channels():
         scenario = haar_unitary(rng)
         angle = axis_angle_from_rotation(rotation_from_unitary(scenario.unitary)).angle
         oracle = make_oracle(scenario)
-        entries = alignment_scan(oracle, oracle.query(), config)
+        entries = list(alignment_scan(oracle, oracle.query(), config))
         aligned = any(
             e.criterion < 1e-9
             and abs(e.record.correlations[0] - e.record.correlations[1]) < 1e-9

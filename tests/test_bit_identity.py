@@ -477,7 +477,7 @@ class TestDotForms:
         }[kind]()
         oracle = make_oracle(scenario)
         v1 = modifier_from_axis(rng.normal(size=3))
-        second_round(oracle, v1)
+        list(second_round(oracle, v1))
         flip_record, *probes = oracle.history
         v2s = [modifier_from_axis(axis) for axis in axis_candidates(flip_record.correlations)]
         assert len(probes) == len(v2s)

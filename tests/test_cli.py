@@ -45,6 +45,15 @@ class TestIdentifyCommand:
         assert main(["identify", str(path)]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
+        # json.load's RecursionError used to escape as a traceback, whose exit status 1 reads as a common-cause verdict
+        path = tmp_path / "deep.json"
+        path.write_text('{"dc": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["identify", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
     def test_unknown_schema_exits_two(self, tmp_path, capsys):
         path = write_json(tmp_path / "odd.json", {"mystery": 1})
         assert main(["identify", str(path)]) == EXIT_ERROR

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
 
 from qcausal.bench import _edge_grid, _plane_grid, exact_margin
 from qcausal.comb import (
@@ -274,7 +275,7 @@ class TestAlignmentTheorem:
             scenario = haar_unitary(rng)
             angle = axis_angle_from_rotation(rotation_from_unitary(scenario.unitary)).angle
             oracle = make_oracle(scenario)
-            entries = alignment_scan(oracle, oracle.query(), config)
+            entries = list(alignment_scan(oracle, oracle.query(), config))
             hits = [
                 e
                 for e in entries
@@ -354,7 +355,7 @@ class TestSecondRound:
         scenario = plane_dc(np.array([0.0, 0.0, 1.0]))
         oracle = make_oracle(scenario)
         p0 = oracle.query()
-        entry = second_round(oracle, modifier_from_axis(axis_candidates(p0)[0]))
+        entry = min(second_round(oracle, modifier_from_axis(axis_candidates(p0)[0])), key=lambda e: e.criterion)
         assert entry.criterion < 1e-9
         # the closest of the flipped-frame probes (the queries after p0 and p1), as the oracle recorded it
         probes = oracle.history[2:]
@@ -364,6 +365,43 @@ class TestSecondRound:
         result = identify(make_oracle(scenario))
         assert (result.verdict, result.rounds_used) == ("DC", 2)
         assert result.criterion_value < 1e-9
+
+
+class TestLazyScans:
+    """The scans query as they are read, and a drained scan is the full run."""
+
+    @staticmethod
+    def _same_records(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for x, y in zip(a, b):
+                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("scenario", [haar_unitary(3), random_state("mixed", 4)])
+    def test_alignment_scan(self, scenario):
+        full = make_oracle(scenario)
+        assert identify(full).rounds_used == 1
+        oracle = make_oracle(scenario)
+        scan = alignment_scan(oracle, oracle.query(), AlgoConfig())
+        first = next(scan)
+        assert oracle.query_count == 2 and first.record is oracle.history[-1]
+        entries = [first, *scan]
+        assert all(e.record is r for e, r in zip(entries, oracle.history[1:], strict=True))
+        self._same_records(oracle.history, full.history)
+
+    @pytest.mark.parametrize("scenario", [plane_dc(np.array([0.6, 0.0, 0.8])), bell_diagonal([0.3, 0.3, 0.4, 0.0])])
+    def test_second_round(self, scenario):
+        full = make_oracle(scenario)
+        assert identify(full).rounds_used == 2
+        v1 = full.history[1].modifier_x
+        oracle = make_oracle(scenario)
+        probes = second_round(oracle, v1)
+        first = next(probes)
+        assert oracle.query_count == 2 and first.record is oracle.history[-1]
+        entries = [first, *probes]
+        assert all(e.record is r for e, r in zip(entries, oracle.history[1:], strict=True))
+        # the first flipped group of the full run: its flip query and its probes
+        self._same_records(oracle.history, full.history[1 : 2 + len(entries)])
 
 
 class TestNoiseStability:
@@ -534,6 +572,36 @@ class TestExactNeverWrong:
         assert result.query_count <= 25
 
 
+class TestExactAdversary:
+    """Nelder-Mead drives the exact margin towards 0; no mechanism it evaluates may get the wrong verdict."""
+
+    @staticmethod
+    def _search(build, dim, truth, starts, evaluations):
+        rng = np.random.default_rng(7)
+        wrong = []
+
+        def margin(x):
+            scenario = build(x)
+            if scenario is None:
+                return np.inf
+            m, verdict = exact_margin(scenario)
+            if verdict != truth:
+                wrong.append(x.copy())
+            return m
+
+        for _ in range(starts):
+            minimize(margin, rng.normal(size=dim), method="Nelder-Mead", options={"maxfev": evaluations})
+        assert not wrong
+
+    def test_states_stay_common_causes(self):
+        # the 32 real parameters of a Ginibre matrix G, rho = G G^dag / tr
+        self._search(lambda x: _ginibre_state(x) if np.linalg.norm(x) > 1e-6 else None, 32, "CC", 6, 400)
+
+    def test_channels_stay_direct_causes(self):
+        # a rotation axis (any nonzero scale) and angle
+        self._search(lambda x: _channel(x[:3], x[3]) if np.linalg.norm(x[:3]) > 1e-6 else None, 4, "DC", 6, 200)
+
+
 _stop_mechanisms = st.one_of(
     _channels,
     _states,
@@ -605,7 +673,7 @@ class TestStopMargin:
     @settings(deadline=None, max_examples=100)
     @given(_stop_mechanisms, st.sampled_from(["fixed", "at", "above", "below"]), st.sampled_from([0.01, 0.05, 0.3]))
     def test_margin_pass_excludes_as_the_full_run(self, scenario, where, eta):
-        full_margin = exact_margin(scenario)
+        full_margin = exact_margin(scenario)[0]
         # a cutoff on the full run's margin or one ulp from it tests the comparison at its edge
         eta = {
             "fixed": eta,
