@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -65,13 +66,6 @@ def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _freeze(obj, **arrays):
-    # derived arrays are stored read-only so no caller can edit a mechanism
-    for name, value in arrays.items():
-        value.setflags(write=False)
-        object.__setattr__(obj, name, value)
-
-
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """Validated 4x4 density matrix of the X and Y subsystems.
@@ -100,7 +94,10 @@ class TwoQubitState:
         object.__setattr__(self, "rho", rho)
         # m[a, b] = Tr[rho sigma_a (x) sigma_b], with sigma_0 the identity
         m = np.einsum("ijkl,aki,blj->ab", rho.reshape(2, 2, 2, 2), _PAULIS, _PAULIS).real
-        _freeze(self, s=m[1:, 0], t=m[0, 1:], T=m[1:, 1:])
+        m.setflags(write=False)  # read-only, as are its slices s, t and T: no caller can edit a mechanism
+        object.__setattr__(self, "s", m[1:, 0])
+        object.__setattr__(self, "t", m[0, 1:])
+        object.__setattr__(self, "T", m[1:, 1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +122,9 @@ class DirectCause:
             R = rotation_from_unitary(u, _CHANNEL_TOL)
         except ValueError:
             raise ValueError("channel matrix is not unitary within tolerance") from None
+        R.setflags(write=False)
         object.__setattr__(self, "unitary", u)
-        _freeze(self, R=R)
+        object.__setattr__(self, "R", R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +288,7 @@ def _reals(values, size: int | None = None) -> list:
     """The floats of a list of real numbers that are not ``bool``, ``size`` of them if given; else ``TypeError``."""
     if not isinstance(values, (list, tuple)) or len(values) != (size or len(values)) or not all(
             isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
-        raise TypeError(f"expected a list of real numbers, got {values!r}")
+        raise TypeError(f"expected a list of real numbers, got {reprlib.repr(values)}")  # bounded, however large
     return [float(v) for v in values]
 
 
@@ -335,6 +333,8 @@ def scenario_from_json(doc: dict) -> Scenario:
     body = doc[key]
     try:
         if key == "dc":
+            if not isinstance(body, dict):
+                raise ScenarioFormatError("'dc' must be an object with 'axis' and 'angle'")
             (angle,) = _reals([body["angle"]])
             return DirectCause(unitary_from_axis_angle(_reals(body["axis"]), angle))
         if key == "dc_matrix":

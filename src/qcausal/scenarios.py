@@ -111,17 +111,23 @@ def random_state(kind: str = "mixed", seed=None) -> Scenario:
     """Common-cause scenario with a random state.
 
     ``pure`` draws a Haar-random state vector; ``mixed`` draws from the
-    Hilbert-Schmidt ensemble (normalized ``G G^dag`` with Ginibre G).
+    Hilbert-Schmidt ensemble (normalized ``G G^dag`` with Ginibre G).  One call
+    draws the real parts, then the imaginary ones: the stream of two draws.
+    ``mixed`` divides by the real diagonal summed as ``(d0 + d1) + (d2 + d3)``,
+    the pairwise order in which ``ndarray.trace`` adds four complex entries.
     """
     rng = np.random.default_rng(seed)
     if kind == "pure":
-        ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+        real, imag = rng.normal(size=(2, 4))
+        ket = real + 1j * imag
         ket = ket / np.linalg.norm(ket)
         rho = np.outer(ket, ket.conj())
     elif kind == "mixed":
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        real, imag = rng.normal(size=(2, 4, 4))
+        g = real + 1j * imag
         rho = g.dot(g.conj().T)
-        rho = rho / rho.trace().real
+        d0, d1, d2, d3 = rho.diagonal().real.tolist()
+        rho /= (d0 + d1) + (d2 + d3)
     else:
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
     # Hermitian, unit-trace and positive semidefinite by construction

@@ -21,8 +21,9 @@ route to something the package computes another way:
 * the ``@`` and nested-list forms of the rotation of a unitary, the mixed
   random state and the flipped round's modifier products, which the
   package's ``ndarray.dot`` and flat-list forms must match bit for bit;
-* the Haar unitary from two ``(2, 2)`` Ginibre draws, which the package's
-  one draw of 8 normals must match bit for bit;
+* the Haar unitary from two ``(2, 2)`` Ginibre draws and the pure and mixed
+  random states from two draws each, which the package's one draw of all
+  normals must match bit for bit;
 * the row-wise distance to ``(-1, -1, 1)`` as a bootstrap ``derive``, whose
   Monte Carlo spread the sweep's closed-form ``std_distance`` must match.
 """
@@ -408,11 +409,19 @@ def haar_unitary_matrix_two_draws(rng: np.random.Generator) -> np.ndarray:
 
 
 def mixed_state_rho(seed) -> np.ndarray:
-    """The ``rho`` of ``qcausal.scenarios.random_state("mixed", seed)``, via ``@`` and ``np.trace``."""
+    """The ``rho`` of ``qcausal.scenarios.random_state("mixed", seed)``, via two draws, ``@`` and ``np.trace``."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def pure_state_rho(seed) -> np.ndarray:
+    """The ``rho`` of ``qcausal.scenarios.random_state("pure", seed)``: ``|psi><psi|`` of a ket from two draws."""
+    rng = np.random.default_rng(seed)
+    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+    ket = ket / np.linalg.norm(ket)
+    return np.outer(ket, ket.conj())
 
 
 def second_round_products(v1: np.ndarray, v2: np.ndarray):

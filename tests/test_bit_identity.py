@@ -9,7 +9,8 @@ bytes as the array form: stricter than ``np.array_equal``, which equates
 The one exception is ``TestBootstrapDistance``, which holds a test-side
 bootstrap ``derive`` to a few units in the last place of the package's
 distance.  ``TestBatchBarycentric`` and ``TestOneGinibreDraw`` hold a batch
-and a single draw to the per-point and two-draw forms they replace.
+and a single draw to the per-point and two-draw forms they replace, and
+``TestTetraCheckPoints`` holds the membership audit's points to those forms.
 """
 
 import ast
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qcausal
+from qcausal import bench
 from qcausal.comb import (
     _I2,
     _IDENTITY_FRAME,
@@ -57,6 +59,7 @@ from reference import (
     pauli_vector_matmul,
     probability_rows_matmul,
     probability_table_matmul,
+    pure_state_rho,
     rotation_from_unitary_nested,
     second_round_products,
     symmetric_correlation_estimate,
@@ -318,6 +321,54 @@ class TestOneGinibreDraw:
             assert got.tobytes() == want.tobytes(), seed
             # the next draw from the same generator is the same as well
             assert one.normal(size=3).tobytes() == two.normal(size=3).tobytes(), seed
+
+    @pytest.mark.parametrize("kind, reference", [("pure", pure_state_rho), ("mixed", mixed_state_rho)])
+    def test_random_state_matches_two_draws(self, kind, reference):
+        for seed in range(2_000):
+            one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = random_state(kind, one).state.rho, reference(two)
+            assert got.shape == want.shape == (4, 4) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), seed
+            assert one.normal(size=3).tobytes() == two.normal(size=3).tobytes(), seed
+
+
+def _reference_point(kind, child):
+    """Plain correlation vector of a seed child's channel or mixed state, from the two-draw and ``@`` forms."""
+    rng = np.random.default_rng(child)
+    if kind == "dc":
+        scenario = DirectCause(haar_unitary_matrix_two_draws(rng))
+    else:
+        scenario = CommonCause(TwoQubitState(mixed_state_rho(rng)))
+    return probability_table_matmul(scenario, _IDENTITY_FRAME, _IDENTITY_FRAME) @ PARITY
+
+
+class TestTetraCheckPoints:
+    """The correlation vectors tetra-check audits, byte for byte.
+
+    Its seeded report shows weights only below 0, which no mechanism reaches, so the
+    golden pins counts alone; these tests pin the points behind them.
+    """
+
+    children = np.random.SeedSequence(1).spawn(1_000)
+
+    def test_each_child_matches_the_reference(self):
+        for i, child in enumerate(self.children):
+            assert pauli_vector(haar_unitary(child)).tobytes() == _reference_point("dc", child).tobytes(), i
+            assert pauli_vector(random_state("mixed", child)).tobytes() == _reference_point("cc", child).tobytes(), i
+
+    def test_audited_points_of_the_seeded_golden(self, monkeypatch):
+        # tetra-check --samples 500 --seed 1 spawns these 1,000 children: channels from the even ones
+        audited, audit = [], bench._audit
+
+        def recording_audit(points, tetra):
+            audited.append(points)
+            return audit(points, tetra)
+
+        monkeypatch.setattr(bench, "_audit", recording_audit)
+        bench.run_tetra_check(500, seed=1)
+        dc_points, cc_points = audited
+        assert same_bits(dc_points, [_reference_point("dc", child) for child in self.children[::2]])
+        assert same_bits(cc_points, [_reference_point("cc", child) for child in self.children[1::2]])
 
 
 class TestScalarSignProducts:

@@ -54,6 +54,28 @@ class TestIdentifyCommand:
         assert "error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "body",
+        [["x"] * 200_000, json.loads("[" * 500 + "]" * 500)],
+        ids=["200000-strings", "500-deep"],
+    )
+    def test_error_message_is_bounded(self, tmp_path, capsys, body):
+        # the message used to echo the whole value: 1.0 MB of stderr for the 200,000 strings
+        path = write_json(tmp_path / "huge.json", {"cc_bell_diagonal": body})
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "expected a list of real numbers" in captured.err
+        assert len(captured.err.encode()) < 1024
+        assert captured.out == ""
+
+    def test_dc_body_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        # it used to read "list indices must be integers or slices, not str"
+        path = write_json(tmp_path / "dc.json", {"dc": [[1, 0, 0], 1]})
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "'dc' must be an object" in captured.err
+        assert captured.out == ""
+
     def test_unknown_schema_exits_two(self, tmp_path, capsys):
         path = write_json(tmp_path / "odd.json", {"mystery": 1})
         assert main(["identify", str(path)]) == EXIT_ERROR
