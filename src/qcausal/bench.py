@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .comb import DirectCause, Scenario, make_oracle, pauli_vector
+from .comb import DirectCause, OracleRecord, Scenario, make_oracle, pauli_vector
 from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, plane_gap
 from .identify import AlgoConfig, SECOND_ROUND_TARGET, alignment_scan, identify
 # Unused here; bound so the per-layer benchmark tracer can wrap or count them on this module.
@@ -41,27 +41,30 @@ __all__ = [
 ]
 
 CSV_SCHEMA_VERSION = "qcausal-sweep-v1"
-CSV_COLUMNS = (
-    "family,param,mechanism,C11,C22,C33,round,criterion,distance,verdict,N,"
-    "std_criterion,std_distance"
-)
 
 
-@dataclass(eq=False)
-class SweepRecord:
-    """One mechanism at one grid point of a sweep family."""
+class SweepRecord(NamedTuple):
+    """One mechanism at one grid point of a sweep family: its fields are the CSV columns, in order.
+
+    ``C11, C22, C33`` are the round-zero correlations, ``round`` the deciding round, ``N`` the shots (0: exact).
+    """
 
     family: str
     param: str
     mechanism: str
-    correlations: tuple
-    rounds_used: int
+    C11: float
+    C22: float
+    C33: float
+    round: int
     criterion: float
     distance: float | None
     verdict: str
-    shots: int
+    N: int
     std_criterion: float | None = None
     std_distance: float | None = None
+
+
+CSV_COLUMNS = ",".join(SweepRecord._fields)
 
 
 @dataclass
@@ -160,25 +163,20 @@ def bootstrap_errorbars(
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _correlation(same: int, shots: int) -> float:
-    """The correlation of ``same`` equal outcomes in ``shots``, computed from the parity as the oracle computes it."""
-    return (2 * same - shots) / shots
-
-
-def _correlation_std(same: int, shots: int) -> float:
-    """``sqrt((1 - C^2) / N)`` of the correlation ``C`` of the parity count: the exact limit of the parity bootstrap."""
-    corr = _correlation(same, shots)
+def _correlation_std(record: OracleRecord, shots: int) -> float:
+    """``sqrt((1 - C33^2) / N)`` of the third correlation of ``record``: the exact limit of the parity bootstrap."""
+    corr = record.correlations.tolist()[2]
     return math.sqrt((1.0 - corr * corr) / shots)
 
 
-def _distance_std(counts: Sequence[int], shots: int, d: float) -> float:
-    """Delta-method ``sqrt(sum_k (C_k - t_k)^2 (1 - C_k^2) / N) / d`` of the distance ``d`` of ``counts`` to ``t``.
+def _distance_std(record: OracleRecord, shots: int, d: float) -> float:
+    """Delta-method ``sqrt(sum_k (C_k - t_k)^2 (1 - C_k^2) / N) / d`` of the distance ``d`` of ``record`` to ``t``.
 
     ``t`` is ``(-1, -1, 1)``.  At ``d == 0`` every ``C_k`` is ``t_k = +-1``, whose binomial spread is 0.
     """
     if d == 0.0:
         return 0.0
-    corr = [_correlation(same, shots) for same in counts]
+    corr = record.correlations.tolist()
     var = sum((x - t) ** 2 * (1.0 - x * x) / shots for x, t in zip(corr, SECOND_ROUND_TARGET.tolist()))
     return math.sqrt(var) / d
 
@@ -191,21 +189,19 @@ def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed):
     if result.rounds_used == 2:
         # The flipped round never measures the alignment criterion; one scan
         # after the verdict fills the criterion column so the curves are complete.
-        aligned = min(alignment_scan(oracle, p0, config), key=lambda e: e.criterion)
-        criterion, criterion_counts = aligned.criterion, aligned.record.counts
-        dist = result.criterion_value
+        best = min(alignment_scan(oracle, p0, config), key=lambda e: e.criterion)
+        criterion, aligned, dist = best.criterion, best.record, result.criterion_value
     else:
-        criterion, criterion_counts = result.criterion_value, result.counts
-        dist = None
+        criterion, aligned, dist = result.criterion_value, result.record, None
 
     std_criterion = std_distance = None
     if shots:
         # the criterion is 1 - C33: it reads the third setting only
-        std_criterion = _correlation_std(criterion_counts[2], shots)
+        std_criterion = _correlation_std(aligned, shots)
         if dist is not None:
-            std_distance = _distance_std(result.counts, shots, dist)
+            std_distance = _distance_std(result.record, shots, dist)
     return SweepRecord(
-        family, param, mechanism, tuple(float(x) for x in p0), result.rounds_used,
+        family, param, mechanism, *p0.tolist(), result.rounds_used,
         criterion, dist, result.verdict, shots, std_criterion, std_distance,
     )
 
@@ -277,23 +273,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def sweep_record_row(r: SweepRecord) -> tuple:
-    """The raw values of one record, in ``CSV_COLUMNS`` order."""
-    return (
-        r.family, r.param, r.mechanism, *r.correlations, r.rounds_used, r.criterion,
-        r.distance, r.verdict, r.shots, r.std_criterion, r.std_distance,
-    )
-
-
 def sweep_records_to_csv(records: Sequence[SweepRecord]) -> str:
     """Render sweep records as CSV with a versioned schema comment."""
     lines = [f"# schema: {CSV_SCHEMA_VERSION}", CSV_COLUMNS]
-    lines += [",".join(map(_fmt, sweep_record_row(r))) for r in records]
+    lines += [",".join(map(_fmt, r)) for r in records]
     return "\n".join(lines) + "\n"
-
-
-def sweep_record_to_dict(r: SweepRecord) -> dict:
-    return dict(zip(CSV_COLUMNS.split(","), sweep_record_row(r)))
 
 
 def sweep_summary(records: Sequence[SweepRecord]) -> dict:

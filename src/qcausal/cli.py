@@ -19,7 +19,6 @@ from .bench import (
     run_random_bench,
     run_sweep,
     run_tetra_check,
-    sweep_record_to_dict,
     sweep_records_to_csv,
     sweep_summary,
 )
@@ -116,13 +115,12 @@ def _cmd_sweep(args) -> int:
     if args.resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {args.resamples}")
     records = run_sweep(args.family, grid=args.grid, shots=shots, seed=args.seed, config=_config_from(args))
-    summary = sweep_summary(records)
-    if args.format == "csv":
-        _emit(sweep_records_to_csv(records), args.out)
-        _emit(_json(summary), args.out and args.out + ".summary.json")
-    else:
-        doc = {"summary": summary, "records": [sweep_record_to_dict(r) for r in records]}
-        _emit(_json(doc), args.out)
+    if args.format == "json":
+        _emit(_json({"summary": sweep_summary(records), "records": [r._asdict() for r in records]}), args.out)
+        return 0
+    _emit(sweep_records_to_csv(records), args.out)
+    if args.out:  # stdout holds the CSV alone; ``--format json`` carries the summary there
+        _emit(_json(sweep_summary(records)), args.out + ".summary.json")
     return 0
 
 

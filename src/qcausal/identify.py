@@ -86,9 +86,9 @@ class ClassificationResult:
     ``criterion_value`` is ``1 - C33`` of the best aligned frame for
     round-one verdicts and the distance to ``(-1, -1, 1)`` for second-round
     verdicts; ``threshold`` is the cutoff that round compared it with.
-    ``counts`` are the parity counts of the query that value was computed
-    from, the shots of each setting whose outcomes agreed (``None`` in exact
-    mode); every query is in the oracle's ``history``.
+    ``record`` is the oracle's record of the query that value was computed
+    from, its parity counts included in sampled mode; every query is in the
+    oracle's ``history``.
     """
 
     verdict: str
@@ -96,8 +96,8 @@ class ClassificationResult:
     criterion_value: float
     threshold: float
     winning_modifier: np.ndarray | None
+    record: OracleRecord
     query_count: int = 0
-    counts: tuple | None = None
 
 
 class ScanEntry(NamedTuple):
@@ -169,12 +169,6 @@ def modifier_from_axis(axis: np.ndarray) -> np.ndarray:
     return np.array([half, complex(-nx * k, ny * k), complex(nx * k, ny * k), half]).reshape(2, 2)
 
 
-#: Least-squares rows of the identity frame's axes: its products are ones and positive zeros.
-_IDENTITY_ROWS = [
-    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-]
-
-
 def _symmetric_correlation_estimate(p0, records) -> np.ndarray:
     """Least-squares symmetric 3x3 matrix matching the measured quadratic forms.
 
@@ -184,10 +178,8 @@ def _symmetric_correlation_estimate(p0, records) -> np.ndarray:
     minimum-norm value (zero), so the estimate stays an observational quantity.
     """
     # one row per frame axis, in query order: f0^2, f1^2, f2^2, 2 f0 f1, 2 f0 f2, 2 f1 f2
-    rows = _IDENTITY_ROWS + [
-        [a * a, b * b, c * c, (2 * a) * b, (2 * a) * c, (2 * b) * c]
-        for record in records for a, b, c in record.ox.T.tolist()
-    ]
+    frames = [np.eye(3)] + [record.ox for record in records]
+    rows = [[a * a, b * b, c * c, (2 * a) * b, (2 * a) * c, (2 * b) * c] for ox in frames for a, b, c in ox.T.tolist()]
     values = np.asarray(p0, dtype=float).tolist() + [v for r in records for v in r.correlations.tolist()]
     s0, s1, s2, s3, s4, s5 = np.linalg.lstsq(np.array(rows), np.array(values), rcond=None)[0].tolist()
     return np.array([[s0, s3, s4], [s3, s1, s5], [s4, s5, s2]])
@@ -283,6 +275,6 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, sto
         criterion_value=best.criterion,
         threshold=threshold,
         winning_modifier=best.record.modifier_x if direct else None,
+        record=best.record,
         query_count=oracle.query_count,
-        counts=best.record.counts,
     )

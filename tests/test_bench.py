@@ -114,13 +114,13 @@ class TestParityBootstrap:
         def no_bootstrap(*args, **kwargs):
             raise AssertionError("a sweep record was bootstrapped")
 
-        def closed_recorder(same, shots):
-            closed.append((same, shots))
-            return original_closed(same, shots)
+        def closed_recorder(record, shots):
+            closed.append((record.counts[2], shots))
+            return original_closed(record, shots)
 
-        def flip_recorder(counts, shots, d):
-            flips.append([(same, shots) for same in counts])
-            return original_flip(counts, shots, d)
+        def flip_recorder(record, shots, d):
+            flips.append([(same, shots) for same in record.counts])
+            return original_flip(record, shots, d)
 
         monkeypatch.setattr(bench, "bootstrap_errorbars", no_bootstrap)
         monkeypatch.setattr(bench, "_correlation_std", closed_recorder)
@@ -129,8 +129,8 @@ class TestParityBootstrap:
             closed.clear()
             flips.clear()
             r = bench._evaluate_scenario("edge", f"{a}", "cc", edge_cc(a), AlgoConfig(), 5000, np.random.SeedSequence(6))
-            assert (r.param, r.mechanism, r.shots) == (f"{a}", "cc", 5000)
-            assert r.rounds_used == rounds
+            assert (r.param, r.mechanism, r.N) == (f"{a}", "cc", 5000)
+            assert r.round == rounds
             (third,) = closed
             assert abs(1.0 - correlation(third) - r.criterion) < 1e-12
             same, shots = third
@@ -174,13 +174,13 @@ class TestDistanceStd:
         calls = []
         original = bench._distance_std
 
-        def recorder(counts, n, d):
-            calls.append(([(same, n) for same in counts], d, original(counts, n, d)))
+        def recorder(record, n, d):
+            calls.append(([(same, n) for same in record.counts], d, original(record, n, d)))
             return calls[-1][2]
 
         monkeypatch.setattr(bench, "_distance_std", recorder)
         records = run_sweep(family, shots=shots, seed=1)
-        assert [r.std_distance for r in records if r.rounds_used == 2] == [std for _, _, std in calls]
+        assert [r.std_distance for r in records if r.round == 2] == [std for _, _, std in calls]
         tally = Counter()
         for i, (counts, d, std) in enumerate(calls):
             corr = np.array([correlation(c) for c in counts])
@@ -234,7 +234,7 @@ class TestSweepEdge:
         row = {(r.param, r.mechanism): r for r in records}
         dc = row[("0.03", "dc")]
         cc = row[("0.03", "cc")]
-        assert dc.rounds_used == 2 and cc.rounds_used == 2
+        assert dc.round == 2 and cc.round == 2
         assert dc.distance < 1e-9 and dc.verdict == "DC"
         assert cc.distance > 1 / np.sqrt(3) and cc.verdict == "CC"
 
@@ -272,13 +272,14 @@ class TestSweepPlane:
     def test_verdicts(self, records):
         for r in records:
             assert r.verdict == ("DC" if r.mechanism == "dc" else "CC")
-            assert r.rounds_used == 2
-            assert abs(sum(r.correlations) - 1.0) < 1e-9
+            assert r.round == 2
+            assert abs((r.C11 + r.C22 + r.C33) - 1.0) < 1e-9
 
     def test_weight_permutations_permute_correlations(self, records):
         by_param = {(r.param, r.mechanism): r for r in records}
-        base = by_param[("0.25:0.5:0.25", "cc")].correlations
-        swapped = by_param[("0.5:0.25:0.25", "cc")].correlations
+        base, swapped = by_param[("0.25:0.5:0.25", "cc")], by_param[("0.5:0.25:0.25", "cc")]
+        base = (base.C11, base.C22, base.C33)
+        swapped = (swapped.C11, swapped.C22, swapped.C33)
         np.testing.assert_allclose(swapped, (base[1], base[0], base[2]), atol=1e-9)
 
 
@@ -286,9 +287,9 @@ class TestSampledSweep:
     def test_std_columns_present(self):
         records = run_sweep("edge", grid=5, shots=2000, seed=3)
         for r in records:
-            assert r.shots == 2000
+            assert r.N == 2000
             assert r.std_criterion is not None and r.std_criterion >= 0.0
-            if r.rounds_used == 2:
+            if r.round == 2:
                 assert r.std_distance is not None
             else:
                 assert r.std_distance is None
@@ -309,8 +310,8 @@ class TestSampledSweep:
                 row = records[2 * i + (1 - j)]
                 assert (row.param, row.mechanism) == (f"{a:.10g}", mechanism)
                 assert row.verdict == result.verdict
-                assert row.rounds_used == result.rounds_used
-                assert row.correlations == tuple(oracle.history[0].correlations)
+                assert row.round == result.rounds_used
+                assert (row.C11, row.C22, row.C33) == tuple(oracle.history[0].correlations)
                 if result.rounds_used == 2:
                     assert row.distance == result.criterion_value
                 else:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 
@@ -38,6 +40,13 @@ class TestIdentifyCommand:
     def test_identity_channel(self, tmp_path, capsys):
         path = write_json(tmp_path / "id.json", {"dc": {"axis": [0, 0, 1], "angle": 0}})
         assert main(["identify", path]) == EXIT_DC
+
+    def test_state_a_millionth_below_zero_exits_two(self, tmp_path, capsys):
+        # Hermitian with unit trace, but its eigenvalue -1e-6 lies below the -1e-9 floor
+        rho = np.diag([0.5 + 1e-6, 0.5, 0.0, -1e-6])
+        path = write_json(tmp_path / "negative.json", {"cc_matrix": [[[float(x), 0.0] for x in row] for row in rho]})
+        assert main(["identify", path]) == EXIT_ERROR
+        assert "negative eigenvalue" in capsys.readouterr().err
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -253,6 +262,15 @@ class TestSweepCommand:
         assert len(lines) == 2 + 10
         summary = json.loads((tmp_path / "sweep.csv.summary.json").read_text())
         assert summary["n_records"] == 10
+
+    def test_stdout_is_the_csv_alone(self, tmp_path, capsys, monkeypatch):
+        # without --out the summary is not written: stdout parses as CSV and no file appears
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--family", "edge", "--grid", "2"]) == 0
+        rows = [row for row in csv.reader(io.StringIO(capsys.readouterr().out)) if not row[0].startswith("#")]
+        assert len(rows) == 1 + 4
+        assert all(len(row) == 13 for row in rows)
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -209,10 +209,10 @@ class TestIdentify:
         for scenario, rounds in ((bell_diagonal([0.0, 0.5, 0.25, 0.25]), 1), (plane_dc([0, 0, 1]), 2)):
             result = identify(make_oracle(scenario, shots=5000, seed=8))
             assert result.rounds_used == rounds
-            values = [correlation((same, 5000)) for same in result.counts]
+            values = [correlation((same, 5000)) for same in result.record.counts]
             expected = 1 - values[2] if rounds == 1 else distance(values, SECOND_ROUND_TARGET)
             assert abs(expected - result.criterion_value) < 1e-12
-        assert identify(make_oracle(haar_unitary(1))).counts is None
+        assert identify(make_oracle(haar_unitary(1))).record.counts is None
 
     def test_threshold_is_the_deciding_rounds_cutoff(self):
         config = AlgoConfig(epsilon=0.05, delta=0.2, epsilon_prime=0.5)
@@ -265,6 +265,35 @@ class TestRefinementProbe:
             np.testing.assert_allclose(
                 nudged.history[-1].modifier_x, plain.history[-1].modifier_x, rtol=0, atol=1e-9
             )
+
+
+class TestProbeZeniths:
+    """No two probes of one aligned scan share a zenith: the refinement probe skips a frame already probed."""
+
+    @staticmethod
+    def _zeniths_distinct(oracle):
+        zeniths = [record.ox[:, 2] for record in oracle.history[1:]]
+        return all(abs(float(a.dot(b))) <= 1.0 - 1e-9 for a, b in itertools.combinations(zeniths, 2))
+
+    @pytest.mark.parametrize(
+        "scenario, queries",
+        [
+            (bell_diagonal([0, 0, 0, 1]), 2),  # the top eigenspace of -I projects +z onto the probed zenith
+            (random_state("mixed", 784), 3),  # the top eigenvector is 2.7e-5 rad from the second candidate's zenith
+        ],
+    )
+    def test_refinement_skips_a_probed_zenith(self, scenario, queries):
+        oracle = make_oracle(scenario)
+        result = identify(oracle)
+        assert (result.rounds_used, result.query_count) == (1, queries)
+        assert self._zeniths_distinct(oracle)
+
+    def test_seeded_states_and_channels(self):
+        for seed in range(100):
+            for scenario in (random_state("mixed", seed), random_state("pure", seed), haar_unitary(seed)):
+                oracle = make_oracle(scenario)
+                if identify(oracle).rounds_used == 1:
+                    assert self._zeniths_distinct(oracle)
 
 
 class TestAlignmentTheorem:
@@ -570,6 +599,27 @@ class TestExactNeverWrong:
         result = identify(make_oracle(scenario))
         assert result.verdict == "CC"
         assert result.query_count <= 25
+
+
+class TestFlippedRoundTrace:
+    """Every flipped probe lies at least ``|sum_k C_k(p1) + 1| / sqrt(3)`` from ``(-1, -1, 1)``.
+
+    The probes of ``second_round(oracle, v1)`` measure the diagonal of ``R(v2)^T M R(v2)`` for one matrix ``M``
+    fixed by ``v1``, so their correlations sum to those of the flip query ``p1``; the target lies on the plane
+    ``sum_k C_k = -1``, that far from each probe.  Rounding moves the sums by a few ulps.
+    """
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(_channels, _states))
+    def test_probe_distance_is_at_least_the_flip_trace_bound(self, scenario):
+        oracle = make_oracle(scenario)
+        p0 = oracle.query()
+        for axis in axis_candidates(p0):
+            flip = oracle.query_count
+            entries = list(second_round(oracle, modifier_from_axis(axis)))
+            bound = abs(sum(oracle.history[flip].correlations.tolist()) + 1.0) / np.sqrt(3.0)
+            for e in entries:
+                assert e.criterion >= bound - 4 * np.spacing(2.0)
 
 
 class TestExactAdversary:

@@ -141,6 +141,11 @@ class TestPlaneFamily:
         with pytest.raises(ValueError):
             plane_dc(np.array([0.0, 0.0, 2.0]))
 
+    def test_axis_a_millionth_too_long_rejected(self):
+        # the unit-norm check holds to 1e-9: an axis of norm 1 + 1e-6 is not on the sphere
+        with pytest.raises(ValueError, match="unit vector"):
+            plane_dc(np.array([0.0, 0.0, 1.0 + 1e-6]))
+
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
             plane_cc([0.5, 0.6, 0.2])
