@@ -13,11 +13,8 @@ from .comb import (
     MeasurementOracle,
     Scenario,
     TwoQubitState,
-    load_scenario,
     make_oracle,
     pauli_vector,
-    scenario_from_json,
-    scenario_to_json,
 )
 from .geometry import (
     CC_TETRA,
@@ -43,15 +40,17 @@ from .scenarios import (
     edge_cc,
     edge_dc,
     haar_unitary,
+    load_scenario,
     plane_cc,
     plane_dc,
     random_state,
+    scenario_from_json,
+    scenario_to_json,
 )
 from .bench import (
     ConfusionMatrix,
     SweepRecord,
     TetraReport,
-    bootstrap_errorbars,
     exact_margin,
     run_random_bench,
     run_sweep,

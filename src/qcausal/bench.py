@@ -11,6 +11,7 @@ quantity under the binomial law of the deciding query's parity counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -31,7 +32,6 @@ __all__ = [
     "TetraReport",
     "CSV_COLUMNS",
     "CSV_SCHEMA_VERSION",
-    "bootstrap_errorbars",
     "exact_margin",
     "run_sweep",
     "run_random_bench",
@@ -341,31 +341,19 @@ def run_random_bench(
     config = config or AlgoConfig()
     n_dc = n_scenarios // 2
     children = np.random.SeedSequence(seed).spawn(2 * n_scenarios)
-    cm = ConfusionMatrix()
+    tally = Counter()  # (truth, verdict) pairs, verdict None for an excluded scenario
     for i in range(n_scenarios):
         truth = "DC" if i < n_dc else "CC"
         scenario_seed, oracle_seed = children[2 * i], children[2 * i + 1]
         scenario = haar_unitary(scenario_seed) if truth == "DC" else random_state(cc_kind, scenario_seed)
         margin, verdict = exact_margin(scenario, config, stop_margin=eta) if eta > 0 else (math.inf, None)
         if margin < eta:
-            if truth == "DC":
-                cm.excluded_dc += 1
-            else:
-                cm.excluded_cc += 1
-            continue
-        if shots or verdict is None:  # in exact mode a second run would repeat the margin pass
+            verdict = None
+        elif shots or verdict is None:  # in exact mode a second run would repeat the margin pass
             verdict = identify(make_oracle(scenario, shots=shots, seed=oracle_seed), config, stop_margin=0.0).verdict
-        if truth == "DC":
-            if verdict == "DC":
-                cm.dc_as_dc += 1
-            else:
-                cm.dc_as_cc += 1
-        else:
-            if verdict == "CC":
-                cm.cc_as_cc += 1
-            else:
-                cm.cc_as_dc += 1
-    return cm
+        tally[truth, verdict] += 1
+    return ConfusionMatrix(tally["DC", "DC"], tally["DC", "CC"], tally["CC", "DC"], tally["CC", "CC"],
+                           excluded_dc=tally["DC", None], excluded_cc=tally["CC", None])
 
 
 # ---------------------------------------------------------------------------

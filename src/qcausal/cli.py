@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .bench import (
     run_random_bench,
@@ -22,8 +23,9 @@ from .bench import (
     sweep_records_to_csv,
     sweep_summary,
 )
-from .comb import ScenarioFormatError, _complex_to_pairs, load_scenario, make_oracle
+from .comb import make_oracle
 from .identify import AlgoConfig, identify
+from .scenarios import ScenarioFormatError, complex_to_pairs, load_scenario
 
 EXIT_DC = 0
 EXIT_CC = 1
@@ -91,20 +93,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--resamples", type=int, default=1000, help="at least 100; changes no output (closed-form deviations)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(run=_cmd_sweep)
     _add_common(p)
 
     p = sub.add_parser("identify", help="classify one scenario file")
     p.add_argument("scenario", help="path to a scenario JSON file")
+    p.set_defaults(run=_cmd_identify)
     _add_common(p)
 
     p = sub.add_parser("random-bench", help="confusion matrix over random scenarios")
     p.add_argument("--scenarios", type=int, default=1000)
     p.add_argument("--eta", type=float, default=0.0, help="exclude scenarios with exact margin < eta")
     p.add_argument("--cc-kind", choices=("mixed", "pure"), default="mixed")
+    p.set_defaults(run=_cmd_random_bench)
     _add_common(p)
 
     p = sub.add_parser("tetra-check", help="membership audit of sampled mechanisms")
     p.add_argument("--samples", type=int, default=10000)
+    p.set_defaults(run=_cmd_tetra_check)
     _add_seed_and_out(p)
 
     return parser
@@ -136,17 +142,13 @@ def _cmd_identify(args) -> int:
         "criterion_value": result.criterion_value,
         "query_count": result.query_count,
         "shots": shots,
-        "thresholds": {
-            "epsilon": config.epsilon,
-            "delta": config.delta,
-            "epsilon_prime": config.epsilon_prime,
-        },
+        "thresholds": asdict(config),  # field order: epsilon, delta, epsilon_prime
         "winning_modifier": None if result.winning_modifier is None
-        else _complex_to_pairs(result.winning_modifier),
+        else complex_to_pairs(result.winning_modifier),
         "trail": [
             {
-                "modifier_x": _complex_to_pairs(rec.modifier_x),
-                "modifier_y": _complex_to_pairs(rec.modifier_y),
+                "modifier_x": complex_to_pairs(rec.modifier_x),
+                "modifier_y": complex_to_pairs(rec.modifier_y),
                 "correlations": [float(v) for v in rec.correlations],
             }
             for rec in oracle.history
@@ -178,15 +180,9 @@ def _cmd_tetra_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    handlers = {
-        "sweep": _cmd_sweep,
-        "identify": _cmd_identify,
-        "random-bench": _cmd_random_bench,
-        "tetra-check": _cmd_tetra_check,
-    }
     args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ScenarioFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -14,15 +14,12 @@ the only access the identification algorithm gets.
 
 from __future__ import annotations
 
-import json
-import numbers
-import reprlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
+from .linalg import pauli, rotation_from_unitary
 
 __all__ = [
     "TwoQubitState",
@@ -32,9 +29,6 @@ __all__ = [
     "pauli_vector",
     "MeasurementOracle",
     "make_oracle",
-    "ScenarioFormatError",
-    "scenario_to_json",
-    "scenario_from_json",
 ]
 
 _I2 = pauli(0)
@@ -270,95 +264,3 @@ class MeasurementOracle:
 def make_oracle(scenario: Scenario, shots: int = 0, seed=None) -> MeasurementOracle:
     """Wrap a scenario in a measurement oracle (``shots = 0`` for exact mode)."""
     return MeasurementOracle(scenario, shots=shots, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Scenario serialization (shared with the CLI)
-# ---------------------------------------------------------------------------
-
-class ScenarioFormatError(ValueError):
-    """Raised when a scenario document does not match the schema."""
-
-
-def _complex_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _reals(values, size: int | None = None) -> list:
-    """The floats of a list of real numbers that are not ``bool``, ``size`` of them if given; else ``TypeError``."""
-    if not isinstance(values, (list, tuple)) or len(values) != (size or len(values)) or not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
-        raise TypeError(f"expected a list of real numbers, got {reprlib.repr(values)}")  # bounded, however large
-    return [float(v) for v in values]
-
-
-def _pair(entry) -> complex:
-    """``complex(re, im)`` of an entry of exactly two real numbers; anything else raises ``TypeError``."""
-    return complex(*_reals(entry, 2))
-
-
-def _pairs_to_complex(rows, dim: int, what: str) -> np.ndarray:
-    try:
-        m = np.asarray([[_pair(entry) for entry in row] for row in rows], dtype=complex)
-    except TypeError as exc:
-        raise ScenarioFormatError(f"{what} entries must be [re, im] pairs of numbers") from exc
-    if m.shape != (dim, dim):
-        raise ScenarioFormatError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
-    return m
-
-
-def scenario_to_json(scenario: Scenario) -> dict:
-    """Serialize a scenario to the JSON schema understood by the CLI."""
-    if isinstance(scenario, DirectCause):
-        return {"dc_matrix": _complex_to_pairs(scenario.unitary)}
-    if isinstance(scenario, CommonCause):
-        return {"cc_matrix": _complex_to_pairs(scenario.state.rho)}
-    raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
-
-
-def scenario_from_json(doc: dict) -> Scenario:
-    """Build a scenario from its JSON form.
-
-    Exactly one of the keys ``dc``, ``dc_matrix``, ``cc_bell_diagonal`` or
-    ``cc_matrix`` must be present.
-    """
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError("scenario document must be a JSON object")
-    keys = [k for k in ("dc", "dc_matrix", "cc_bell_diagonal", "cc_matrix") if k in doc]
-    if len(keys) != 1:
-        raise ScenarioFormatError(
-            "expected exactly one of 'dc', 'dc_matrix', 'cc_bell_diagonal', 'cc_matrix'"
-        )
-    key = keys[0]
-    body = doc[key]
-    try:
-        if key == "dc":
-            if not isinstance(body, dict):
-                raise ScenarioFormatError("'dc' must be an object with 'axis' and 'angle'")
-            (angle,) = _reals([body["angle"]])
-            return DirectCause(unitary_from_axis_angle(_reals(body["axis"]), angle))
-        if key == "dc_matrix":
-            return DirectCause(_pairs_to_complex(body, 2, "dc_matrix"))
-        if key == "cc_bell_diagonal":
-            from .scenarios import bell_diagonal
-
-            return bell_diagonal(_reals(body))
-        return CommonCause(TwoQubitState(_pairs_to_complex(body, 4, "cc_matrix")))
-    except ScenarioFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float overflows
-        raise ScenarioFormatError(f"invalid scenario under {key!r}: {exc}") from exc
-
-
-def _reject_constant(token: str):
-    raise ScenarioFormatError(f"non-finite number {token} is not allowed")
-
-
-def load_scenario(path: str) -> Scenario:
-    """Read a scenario JSON file; the non-standard tokens ``NaN`` and ``Infinity`` are refused."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-            raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
-    return scenario_from_json(doc)

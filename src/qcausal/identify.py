@@ -188,12 +188,12 @@ def _symmetric_correlation_estimate(p0, records) -> np.ndarray:
 def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig) -> Iterator[ScanEntry]:
     """Probe the candidate axes of ``p0`` with same-frame queries, yielding each probe as it is made.
 
-    If no candidate reaches the alignment cutoff, one refinement query is
-    added: the measured vectors determine (in the least-squares sense) the
-    symmetric part of the correlation matrix, whose top eigenvector is the
-    best frame any mechanism could offer; probing it makes the reported
-    criterion the tight mimicry bound rather than an artifact of the sign
-    enumeration.
+    If no candidate reaches the alignment cutoff, one refinement query is added: the measured vectors
+    determine (in the least-squares sense) the symmetric part of the correlation matrix, whose top
+    eigenvector is the best frame any mechanism could offer; probing it makes the reported criterion the
+    tight mimicry bound rather than an artifact of the sign enumeration.  The probe is skipped when its
+    zenith lies within ``1 - |cos| < 1e-9`` of a probed frame's, an angle of about 4.5e-5 rad, so that
+    bound holds only to about 1e-9.
     """
     entries = []
     for axis in axis_candidates(p0):

@@ -1,14 +1,18 @@
-"""Scenario families and random ensembles for benchmarks.
+"""Scenario families, random ensembles and scenario documents.
 
 The two sweep families deliberately produce mechanism pairs whose plain
 Pauli correlations coincide, so round-zero data alone cannot tell them
 apart: an edge of the ambiguous octahedron (``C22 - C11 = 1, C33 = 0``) and
 the plane ``sum C_kk = 1`` where the alignment test can be mimicked.
+The CLI reads and writes single scenarios as JSON documents.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import numbers
+import reprlib
 
 import numpy as np
 
@@ -24,6 +28,11 @@ __all__ = [
     "haar_unitary",
     "haar_unitary_matrix",
     "random_state",
+    "ScenarioFormatError",
+    "complex_to_pairs",
+    "scenario_to_json",
+    "scenario_from_json",
+    "load_scenario",
 ]
 
 #: Bell states phi+, phi-, psi+, psi-.
@@ -132,3 +141,94 @@ def random_state(kind: str = "mixed", seed=None) -> Scenario:
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
     # Hermitian, unit-trace and positive semidefinite by construction
     return CommonCause(TwoQubitState._trusted(rho))
+
+
+# ---------------------------------------------------------------------------
+# Scenario documents (read and written by the CLI)
+# ---------------------------------------------------------------------------
+
+class ScenarioFormatError(ValueError):
+    """Raised when a scenario document does not match the schema."""
+
+
+def complex_to_pairs(m: np.ndarray) -> list:
+    """A complex matrix as rows of ``[re, im]`` float pairs, the JSON form of a matrix."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _reals(values, size: int | None = None) -> list:
+    """The floats of a list of real numbers that are not ``bool``, ``size`` of them if given; else ``TypeError``."""
+    if not isinstance(values, (list, tuple)) or len(values) != (size or len(values)) or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+        raise TypeError(f"expected a list of real numbers, got {reprlib.repr(values)}")  # bounded, however large
+    return [float(v) for v in values]
+
+
+def _pairs_to_complex(rows, dim: int, what: str) -> np.ndarray:
+    try:
+        # an entry of anything but two real numbers raises ``TypeError``
+        m = np.asarray([[complex(*_reals(entry, 2)) for entry in row] for row in rows], dtype=complex)
+    except TypeError as exc:
+        raise ScenarioFormatError(f"{what} entries must be [re, im] pairs of numbers") from exc
+    if m.shape != (dim, dim):
+        raise ScenarioFormatError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
+    return m
+
+
+def _reject_unknown_keys(obj: dict, known, where: str) -> None:
+    unknown = [k for k in obj if k not in known]
+    if unknown:
+        raise ScenarioFormatError(f"unknown keys {reprlib.repr(unknown)} in {where}")  # bounded, however many
+
+
+def scenario_to_json(scenario: Scenario) -> dict:
+    """Serialize a scenario to the JSON schema understood by the CLI."""
+    if isinstance(scenario, DirectCause):
+        return {"dc_matrix": complex_to_pairs(scenario.unitary)}
+    if isinstance(scenario, CommonCause):
+        return {"cc_matrix": complex_to_pairs(scenario.state.rho)}
+    raise TypeError(f"unknown scenario type: {type(scenario).__name__}")
+
+
+def scenario_from_json(doc: dict) -> Scenario:
+    """Build a scenario from its JSON form.
+
+    The document has exactly one key, ``dc``, ``dc_matrix``, ``cc_bell_diagonal`` or
+    ``cc_matrix``, and a ``dc`` body exactly the keys ``axis`` and ``angle``.
+    """
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError("scenario document must be a JSON object")
+    _reject_unknown_keys(doc, ("dc", "dc_matrix", "cc_bell_diagonal", "cc_matrix"), "the scenario document")
+    if len(doc) != 1:
+        raise ScenarioFormatError("expected exactly one of 'dc', 'dc_matrix', 'cc_bell_diagonal', 'cc_matrix'")
+    ((key, body),) = doc.items()
+    try:
+        if key == "dc":
+            if not isinstance(body, dict):
+                raise ScenarioFormatError("'dc' must be an object with 'axis' and 'angle'")
+            _reject_unknown_keys(body, ("axis", "angle"), "'dc'")
+            (angle,) = _reals([body["angle"]])
+            return DirectCause(unitary_from_axis_angle(_reals(body["axis"]), angle))
+        if key == "dc_matrix":
+            return DirectCause(_pairs_to_complex(body, 2, "dc_matrix"))
+        if key == "cc_bell_diagonal":
+            return bell_diagonal(_reals(body))
+        return CommonCause(TwoQubitState(_pairs_to_complex(body, 4, "cc_matrix")))
+    except ScenarioFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float overflows
+        raise ScenarioFormatError(f"invalid scenario under {key!r}: {exc}") from exc
+
+
+def _reject_constant(token: str):
+    raise ScenarioFormatError(f"non-finite number {token} is not allowed")
+
+
+def load_scenario(path: str) -> Scenario:
+    """Read a scenario JSON file; the non-standard tokens ``NaN`` and ``Infinity`` are refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, parse_constant=_reject_constant)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+            raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
+    return scenario_from_json(doc)

@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from qcausal.cli import main
-from qcausal.comb import _complex_to_pairs
 from qcausal.linalg import pauli, rotation_from_unitary
-from qcausal.scenarios import haar_unitary_matrix
+from qcausal.scenarios import complex_to_pairs, haar_unitary_matrix
 
 GOLDEN = Path(__file__).resolve().parent
 SWEEP_FAMILIES = ("edge", "plane")
@@ -73,7 +72,7 @@ def _delta_boundary_state() -> dict:
     for k in range(3):
         for l in range(3):
             rho = rho + t[k, l] * np.kron(paulis[k + 1], paulis[l + 1])
-    return {"cc_matrix": _complex_to_pairs(rho / 4)}
+    return {"cc_matrix": complex_to_pairs(rho / 4)}
 
 
 def build_documents() -> dict:

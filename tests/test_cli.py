@@ -89,6 +89,32 @@ class TestIdentifyCommand:
         path = write_json(tmp_path / "odd.json", {"mystery": 1})
         assert main(["identify", str(path)]) == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "doc, unknown",
+        [
+            ({"dc": {"axis": [0, 0, 1], "angle": 1}, "note": 1}, "['note']"),
+            ({"dc": {"axis": [0, 0, 1], "angle": 1, "extra": 3}}, "['extra']"),
+            ({"dc": {"axis": [0, 0, 1], "angle": 1, "extra": 3}, "note": 1}, "['note']"),
+        ],
+        ids=["top-level", "dc-body", "both"],
+    )
+    def test_unknown_key_exits_two(self, tmp_path, capsys, doc, unknown):
+        # the schema allows exactly one top-level key and only axis and angle in a dc body; others used to be ignored
+        path = write_json(tmp_path / "extra.json", doc)
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"unknown keys {unknown}" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_key_message_is_bounded(self, tmp_path, capsys):
+        doc = {"cc_bell_diagonal": [1, 0, 0, 0], **{f"note-{i}": i for i in range(200_000)}}
+        path = write_json(tmp_path / "keys.json", doc)
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "unknown keys ['note-0', 'note-1'," in captured.err
+        assert len(captured.err.encode()) < 1024
+        assert captured.out == ""
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["identify", "/nonexistent/scenario.json"]) == EXIT_ERROR
 

@@ -6,18 +6,22 @@ from hypothesis import strategies as st
 from qcausal.comb import (
     CommonCause,
     DirectCause,
-    ScenarioFormatError,
     TwoQubitState,
     _IDENTITY_FRAME,
     _check_density_matrix,
     _probability_table,
     make_oracle,
     pauli_vector,
+)
+from qcausal.linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
+from qcausal.scenarios import (
+    ScenarioFormatError,
+    bell_diagonal,
+    haar_unitary,
+    random_state,
     scenario_from_json,
     scenario_to_json,
 )
-from qcausal.linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
-from qcausal.scenarios import bell_diagonal, haar_unitary, random_state
 from reference import JointDistribution, ObservableSpec, _joint_probs, correlation, exact_joint, is_unitary
 
 I2 = pauli(0)

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,6 +76,13 @@ class TestAxisCandidates:
         for i, a in enumerate(axes):
             for b in axes[i + 1:]:
                 assert abs(abs(float(a @ b)) - 1) > 1e-6
+
+    def test_weight_above_one_is_clamped(self):
+        # only an input with some C_kk > 1 reaches the upper clamp: (1.2 - 0.2) / (1 - 0.2) = 1.25 counts as 1;
+        # unclamped, the weights would sum to 1.625 and give the axes (0.8771, +-0.4804, 0)
+        axes = axis_candidates([1.2, 0.5, -0.3])
+        a, b = np.sqrt(1.0 / 1.375), np.sqrt(0.375 / 1.375)  # 0.8528, 0.5222
+        np.testing.assert_allclose(axes, [[a, b, 0.0], [a, -b, 0.0]], rtol=0, atol=1e-12)
 
     def test_all_negative_input_falls_back(self):
         assert len(axis_candidates(np.array([-1.0, -1.0, -1.0]))) == 1
@@ -599,6 +608,29 @@ class TestExactNeverWrong:
         result = identify(make_oracle(scenario))
         assert result.verdict == "CC"
         assert result.query_count <= 25
+
+
+class TestRefinementNeverDecidesExact:
+    """In exact mode the refinement probe moves the reported criterion but never the verdict.
+
+    A state that reaches round one has a plane gap of at least ``delta >= 2 epsilon``, so no frame brings its
+    criterion below ``epsilon``; a channel's candidate axes include its own, in which it aligns exactly.
+    """
+
+    @staticmethod
+    def _without_probe(scenario):
+        module = importlib.import_module("qcausal.identify")  # ``qcausal.identify`` is also the function's name
+        with mock.patch.object(module, "_refinement_probe", lambda oracle, p0, entries: iter(())):
+            return identify(make_oracle(scenario))
+
+    def test_the_patch_suppresses_the_probe(self):
+        scenario = bell_diagonal([0.1, 0.2, 0.3, 0.4])
+        assert (identify(make_oracle(scenario)).query_count, self._without_probe(scenario).query_count) == (6, 5)
+
+    @settings(deadline=None, max_examples=250)
+    @given(st.one_of(_channels, _states, _boundary_states))
+    def test_suppressing_the_probe_keeps_the_verdict(self, scenario):
+        assert self._without_probe(scenario).verdict == identify(make_oracle(scenario)).verdict
 
 
 class TestFlippedRoundTrace:
