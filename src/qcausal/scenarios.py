@@ -207,6 +207,9 @@ def scenario_from_json(doc: dict) -> Scenario:
             if not isinstance(body, dict):
                 raise ScenarioFormatError("'dc' must be an object with 'axis' and 'angle'")
             _reject_unknown_keys(body, ("axis", "angle"), "'dc'")
+            missing = [k for k in ("axis", "angle") if k not in body]
+            if missing:
+                raise ScenarioFormatError(f"missing keys {missing} in 'dc'")
             (angle,) = _reals([body["angle"]])
             return DirectCause(unitary_from_axis_angle(_reals(body["axis"]), angle))
         if key == "dc_matrix":
@@ -216,7 +219,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         return CommonCause(TwoQubitState(_pairs_to_complex(body, 4, "cc_matrix")))
     except ScenarioFormatError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float overflows
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float overflows
         raise ScenarioFormatError(f"invalid scenario under {key!r}: {exc}") from exc
 
 
@@ -224,11 +227,18 @@ def _reject_constant(token: str):
     raise ScenarioFormatError(f"non-finite number {token} is not allowed")
 
 
+def _reject_repeated_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # json.load would keep the last value silently
+        raise ScenarioFormatError("a JSON object repeats a key")
+    return obj
+
+
 def load_scenario(path: str) -> Scenario:
-    """Read a scenario JSON file; the non-standard tokens ``NaN`` and ``Infinity`` are refused."""
+    """Read a scenario JSON file; ``NaN``, ``Infinity`` and repeated keys are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_reject_repeated_keys)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
     return scenario_from_json(doc)

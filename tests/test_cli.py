@@ -115,6 +115,36 @@ class TestIdentifyCommand:
         assert len(captured.err.encode()) < 1024
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "body, missing",
+        [({"angle": 1}, "['axis']"), ({"axis": [0, 0, 1]}, "['angle']"), ({}, "['axis', 'angle']")],
+        ids=["axis", "angle", "both"],
+    )
+    def test_missing_dc_key_is_named(self, tmp_path, capsys, body, missing):
+        # it used to read "invalid scenario under 'dc': 'axis'", the KeyError's repr, and named only one key
+        path = write_json(tmp_path / "dc.json", {"dc": body})
+        assert main(["identify", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"missing keys {missing} in 'dc'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dc": {"axis": [0, 0, 1], "angle": 1.5707963, "angle": 0}}',
+            '{"cc_bell_diagonal": [1, 0, 0, 0], "cc_bell_diagonal": [0, 0, 0, 1]}',
+        ],
+        ids=["dc-body", "top-level"],
+    )
+    def test_repeated_key_exits_two(self, tmp_path, capsys, text):
+        # the last value used to win: the quarter turn above read as the identity channel, the mixture as psi-
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert main(["identify", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "a JSON object repeats a key" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["identify", "/nonexistent/scenario.json"]) == EXIT_ERROR
 
