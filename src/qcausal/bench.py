@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .comb import DirectCause, OracleRecord, Scenario, make_oracle, pauli_vector
-from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, plane_gap
+from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric
 from .identify import AlgoConfig, SECOND_ROUND_TARGET, alignment_scan, identify
 # Unused here; bound so the per-layer benchmark tracer can wrap or count them on this module.
 from .geometry import distance  # noqa: F401
@@ -113,9 +113,6 @@ class TetraReport:
     worst_cc_weight: float
     pauli_vertices_ok: bool
     bell_vertices_ok: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +304,12 @@ def sweep_summary(records: Sequence[SweepRecord]) -> dict:
 def exact_margin(scenario: Scenario, config: AlgoConfig | None = None, *, stop_margin: float | None = None):
     """Distance of the exact-mode decision quantities to their thresholds.
 
-    The minimum over the plane-gap comparison and the criterion of the branch taken; scenarios with a small
+    ``min(|margins|)`` of the exact run, over the plane-gap comparison and the deciding criterion; scenarios with a small
     margin flip verdicts under sampling noise and are excluded from accuracy tallies.  Returns ``(margin, verdict)``;
     with ``stop_margin`` the run stops as ``identify`` stops, and its margin is below it iff the full run's is.
     """
-    config = config or AlgoConfig()
-    oracle = make_oracle(scenario)
-    result = identify(oracle, config, stop_margin=stop_margin)
-    gap = abs(plane_gap(oracle.history[0].correlations) - config.delta)
-    margin = float(min(gap, abs(result.criterion_value - result.threshold)))
-    return margin, result.verdict
+    result = identify(make_oracle(scenario), config, stop_margin=stop_margin)
+    return min(abs(m) for m in result.margins), result.verdict
 
 
 def run_random_bench(
@@ -338,7 +331,6 @@ def run_random_bench(
         raise ValueError(f"eta must be finite, got {eta}")
     if cc_kind not in ("mixed", "pure"):
         raise ValueError(f"cc_kind must be 'pure' or 'mixed', got {cc_kind!r}")
-    config = config or AlgoConfig()
     n_dc = n_scenarios // 2
     children = np.random.SeedSequence(seed).spawn(2 * n_scenarios)
     tally = Counter()  # (truth, verdict) pairs, verdict None for an excluded scenario

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from dataclasses import asdict
 
@@ -33,15 +34,16 @@ EXIT_ERROR = 2
 
 
 def _parse_mode(text: str) -> int:
-    """'exact' -> 0 shots; 'shots=N' -> N."""
+    """'exact' -> 0 shots; 'shots=N' -> N, for any N >= 1 that ``int`` reads."""
     if text == "exact":
         return 0
-    if text.startswith("shots="):
-        shots = int(text[len("shots="):])
-        if shots < 1:
-            raise ValueError("shot count must be >= 1")
-        return shots
-    raise ValueError(f"mode must be 'exact' or 'shots=N', got {text!r}")
+    try:
+        shots = int(text.removeprefix("shots=")) if text.startswith("shots=") else 0
+    except ValueError:  # 'shots=1e5', 'shots=' and 'shots=2.5' among others
+        shots = 0
+    if shots < 1:
+        raise ValueError(f"mode must be 'exact' or 'shots=N' with N a positive integer, got {reprlib.repr(text)}")
+    return shots
 
 
 def _add_seed_and_out(parser: argparse.ArgumentParser):
@@ -174,7 +176,7 @@ def _cmd_random_bench(args) -> int:
 
 def _cmd_tetra_check(args) -> int:
     report = run_tetra_check(args.samples, seed=args.seed)
-    _emit(_json(report.to_dict()), args.out)
+    _emit(_json(asdict(report)), args.out)
     clean = report.dc_violations == 0 and report.cc_violations == 0
     return 0 if clean and report.pauli_vertices_ok and report.bell_vertices_ok else 1
 

@@ -129,7 +129,7 @@ class CommonCause:
 
     def __post_init__(self):
         if not isinstance(self.state, TwoQubitState):
-            object.__setattr__(self, "state", TwoQubitState(np.asarray(self.state)))
+            raise TypeError(f"common cause needs a TwoQubitState, got {type(self.state).__name__}")
 
 
 Scenario = Union[DirectCause, CommonCause]
@@ -203,15 +203,12 @@ def _measure(scenario, wx, wy, shots, rng) -> OracleRecord:
     return OracleRecord(wx, wy, np.array(correlations), same, ox, oy)
 
 
-def pauli_vector(scenario: Scenario, modifier_x=None, modifier_y=None) -> np.ndarray:
-    """Exact correlation vector ``(C11, C22, C33)`` under modified Pauli settings.
+def pauli_vector(scenario: Scenario) -> np.ndarray:
+    """Exact correlation vector ``(C11, C22, C33)`` under the plain Pauli settings.
 
-    Entry ``k`` is the correlation of the observables ``Wx sigma_k Wx^dag``
-    and ``Wy sigma_k Wy^dag``.  Sampled estimates come from ``make_oracle``.
+    Modified settings and sampled estimates are queries of ``make_oracle(scenario)``.
     """
-    wx = _I2 if modifier_x is None else np.asarray(modifier_x, dtype=complex)
-    wy = _I2 if modifier_y is None else np.asarray(modifier_y, dtype=complex)
-    return _measure(scenario, wx, wy, 0, None).correlations
+    return _measure(scenario, _I2, _I2, 0, None).correlations
 
 
 class OracleRecord(NamedTuple):

@@ -86,6 +86,8 @@ class ClassificationResult:
     ``criterion_value`` is ``1 - C33`` of the best aligned frame for
     round-one verdicts and the distance to ``(-1, -1, 1)`` for second-round
     verdicts; ``threshold`` is the cutoff that round compared it with.
+    ``margins`` are ``(plane_gap(p0) - delta, threshold - criterion_value)``, the signed distances of
+    the comparisons behind the round and the verdict (DC exactly when the second is positive).
     ``record`` is the oracle's record of the query that value was computed
     from, its parity counts included in sampled mode; every query is in the
     oracle's ``history``.
@@ -97,6 +99,7 @@ class ClassificationResult:
     threshold: float
     winning_modifier: np.ndarray | None
     record: OracleRecord
+    margins: tuple[float, float]
     query_count: int = 0
 
 
@@ -256,7 +259,8 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, sto
     """
     config = config or AlgoConfig()
     p0 = oracle.query()
-    flipped = plane_gap(p0) < config.delta + _PLANE_GUARD
+    gap = plane_gap(p0)
+    flipped = gap < config.delta + _PLANE_GUARD
     rounds, threshold = (2, config.epsilon_prime) if flipped else (1, config.epsilon)
     if flipped:
         probes = (e for axis in axis_candidates(p0) for e in second_round(oracle, modifier_from_axis(axis)))
@@ -276,5 +280,6 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, sto
         threshold=threshold,
         winning_modifier=best.record.modifier_x if direct else None,
         record=best.record,
+        margins=(gap - config.delta, threshold - best.criterion),
         query_count=oracle.query_count,
     )

@@ -370,7 +370,7 @@ def probability_table_matmul(scenario, ox, oy) -> np.ndarray:
 
 
 def pauli_vector_matmul(scenario, wx, wy) -> np.ndarray:
-    """Exact ``qcausal.comb.pauli_vector`` for two modifiers, through the forms above."""
+    """An exact oracle query ``make_oracle(scenario).query(wx, wy)``, through the forms above."""
     ox = rotation_from_unitary_nested(wx)
     oy = ox if wy is wx else rotation_from_unitary_nested(wy)
     return probability_table_matmul(scenario, ox, oy) @ _PARITY

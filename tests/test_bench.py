@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -478,7 +479,7 @@ class TestTetraCheck:
         assert (report.cc_violations, report.worst_cc_weight) == audit_per_point(cc, CC_TETRA)
         assert report.dc_violations == report.cc_violations == 4
         assert report.pauli_vertices_ok and report.bell_vertices_ok
-        json.dumps(report.to_dict(), allow_nan=False)  # the report stays valid strict JSON
+        json.dumps(asdict(report), allow_nan=False)  # the report stays valid strict JSON
 
     def test_large_sample_has_no_violations(self):
         report = run_tetra_check(10_000, seed=13)

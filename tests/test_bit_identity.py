@@ -265,7 +265,7 @@ class TestPlainSettings:
         scenario = _mechanism(kind, seed)
         plain = _probability_table(scenario, _IDENTITY_FRAME, _IDENTITY_FRAME)
         assert same_bits(plain, _probability_table(scenario, np.eye(3), np.eye(3)))
-        assert same_bits(pauli_vector(scenario), pauli_vector(scenario, pauli(0), pauli(0)))
+        assert same_bits(pauli_vector(scenario), make_oracle(scenario).query(pauli(0), pauli(0)))
 
 
 class TestOnePointBarycentric:
@@ -493,7 +493,7 @@ class TestDotForms:
         scenario = _mechanism(kind, seed)
         wx = haar_unitary_matrix(rng)
         wy = wx if same else haar_unitary_matrix(rng)
-        assert same_bits(pauli_vector(scenario, wx, wy), pauli_vector_matmul(scenario, wx, wy))
+        assert same_bits(make_oracle(scenario).query(wx, wy), pauli_vector_matmul(scenario, wx, wy))
         plain = probability_table_matmul(scenario, _IDENTITY_FRAME, _IDENTITY_FRAME) @ PARITY
         assert same_bits(pauli_vector(scenario), plain)
 

@@ -8,7 +8,7 @@ import pytest
 
 from qcausal import bench
 from qcausal.bench import TetraReport, _fmt
-from qcausal.cli import EXIT_CC, EXIT_DC, EXIT_ERROR, main
+from qcausal.cli import EXIT_CC, EXIT_DC, EXIT_ERROR, _parse_mode, main
 
 
 def write_json(path, doc):
@@ -157,6 +157,22 @@ class TestIdentifyCommand:
     def test_bad_mode_exits_two(self, tmp_path, capsys):
         path = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 1.0}})
         assert main(["identify", path, "--mode", "never"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("mode", ["shots=1e5", "shots=", "shots=2.5", "shots=0", "shots=-3", "shots", "never"])
+    def test_rejected_mode_is_named(self, tmp_path, capsys, mode):
+        path = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 1.0}})
+        assert main(["identify", path, "--mode", mode]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"mode must be 'exact' or 'shots=N' with N a positive integer, got {mode!r}" in captured.err
+        assert captured.out == ""
+
+    def test_rejected_mode_message_is_bounded(self, capsys):
+        assert main(["random-bench", "--scenarios", "2", "--mode", "shots=" + "9" * 100_000]) == EXIT_ERROR
+        assert len(capsys.readouterr().err) < 200
+
+    @pytest.mark.parametrize("mode, shots", [("exact", 0), ("shots=100_000", 100_000), ("shots=+7", 7), ("shots= 7 ", 7)])
+    def test_accepted_modes_keep_their_count(self, mode, shots):
+        assert _parse_mode(mode) == shots
 
     @pytest.mark.parametrize(
         "doc, problem",

@@ -72,6 +72,13 @@ class TestTypes:
         with pytest.raises(TypeError):
             DirectCause(HADAMARD, input_marginal=np.eye(2) / 2)
 
+    @pytest.mark.parametrize("state, name", [(np.eye(4) / 4, "ndarray"), (None, "NoneType")])
+    def test_common_cause_takes_only_a_state(self, state, name):
+        # a density matrix is validated as a ``TwoQubitState``; the mechanism converts nothing
+        with pytest.raises(TypeError, match=name):
+            CommonCause(state)
+        assert isinstance(CommonCause(TwoQubitState(np.eye(4) / 4)).state, TwoQubitState)
+
     def test_observable_spec(self):
         with pytest.raises(ValueError):
             ObservableSpec(I2, 0)
@@ -177,7 +184,7 @@ class TestPauliVector:
             u, v = random_unitary(rng), random_unitary(rng)
             o = rotation_from_unitary(v)
             expected = np.diag(o.T @ rotation_from_unitary(u) @ o)
-            np.testing.assert_allclose(pauli_vector(DirectCause(u), v, v), expected, atol=1e-9)
+            np.testing.assert_allclose(make_oracle(DirectCause(u)).query(v, v), expected, atol=1e-9)
 
     def test_modifier_covariance_state(self):
         rng = np.random.default_rng(34)
@@ -189,7 +196,7 @@ class TestPauliVector:
                 rotation_from_unitary(v).T @ t @ rotation_from_unitary(w)
             )
             np.testing.assert_allclose(
-                pauli_vector(CommonCause(state), v, w), expected, atol=1e-9
+                make_oracle(CommonCause(state)).query(v, w), expected, atol=1e-9
             )
 
     def test_sampled_mode_converges(self):

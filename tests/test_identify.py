@@ -352,7 +352,7 @@ class TestSecondRound:
             angle = rng.uniform(0.1, np.pi - 0.1)
             scenario = DirectCause(unitary_from_axis_angle(axis, angle))
             v1 = modifier_from_axis(axis)
-            p = pauli_vector(scenario, v1, v1 @ SX)
+            p = make_oracle(scenario).query(v1, v1 @ SX)
             assert abs(p[2] + 1.0) < 1e-9
 
     def test_quarter_turn_reaches_target(self):
@@ -385,7 +385,7 @@ class TestSecondRound:
                 w2 = rng.normal(size=3)
                 v1 = modifier_from_axis(w1 / np.linalg.norm(w1))
                 v2 = modifier_from_axis(w2 / np.linalg.norm(w2))
-                p = pauli_vector(scenario, v1 @ v2, v1 @ SX @ v2)
+                p = make_oracle(scenario).query(v1 @ v2, v1 @ SX @ v2)
                 floor = min(floor, distance(p, SECOND_ROUND_TARGET))
         assert floor >= 2 / np.sqrt(3) - 1e-9
 
@@ -652,6 +652,29 @@ class TestFlippedRoundTrace:
             bound = abs(sum(oracle.history[flip].correlations.tolist()) + 1.0) / np.sqrt(3.0)
             for e in entries:
                 assert e.criterion >= bound - 4 * np.spacing(2.0)
+
+
+class TestMarginsExplainTheVerdict:
+    """``margins`` are the signed distances of the plane gap to ``delta`` and of the deciding criterion to its cutoff.
+
+    The first sends the run to the flipped round when negative (below the 1e-12 guard either way), the second is
+    positive exactly for a DC verdict, exact and sampled alike.
+    """
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(_channels, _states, _boundary_states), st.sampled_from([0, 10_000]), st.integers(0, 2**32 - 1))
+    def test_margins_decide_the_round_and_the_verdict(self, scenario, shots, seed):
+        config = AlgoConfig()
+        oracle = make_oracle(scenario, shots=shots, seed=seed)
+        result = identify(oracle, config)
+        gap_margin, criterion_margin = result.margins
+        assert (result.verdict == "DC") == (criterion_margin > 0)
+        if gap_margin < 0:
+            assert result.rounds_used == 2
+        if gap_margin >= 1e-11:
+            assert result.rounds_used == 1
+        expected = (plane_gap(oracle.history[0].correlations) - config.delta, result.threshold - result.criterion_value)
+        assert [m.hex() for m in result.margins] == [m.hex() for m in expected]
 
 
 class TestExactAdversary:
