@@ -5,7 +5,8 @@ Run from the repository root::
     PYTHONPATH=src python tests/golden/regen.py
 
 It rewrites ``documents.json`` (the scenario documents given to
-``qcausal identify``), the exact outputs and ``exit_codes.json``, and the
+``qcausal identify``), the exact outputs (those of ``EXACT_COMMANDS`` among
+them) and ``exit_codes.json``, and the
 seeded sampled outputs of ``SAMPLED_COMMANDS`` (files named ``sampled-*``)
 with ``exit_codes-sampled.json``.  ``tests/test_golden.py`` reruns the same
 commands through ``render`` and ``render_sampled`` and compares.
@@ -27,6 +28,12 @@ from qcausal.scenarios import complex_to_pairs, haar_unitary_matrix
 
 GOLDEN = Path(__file__).resolve().parent
 SWEEP_FAMILIES = ("edge", "plane")
+#: Seeded exact commands by output file: every verdict comes from the stopped margin pass.
+EXACT_COMMANDS = {
+    "random-bench-pure.json": [
+        "random-bench", "--scenarios", "200", "--cc-kind", "pure", "--eta", "0.05", "--seed", "4",
+    ],
+}
 #: Seeded sampled commands by output file; ``{doc}`` stands for the path of a scenario document.
 SAMPLED_COMMANDS = {
     "sampled-random-bench-mixed.json": [
@@ -102,6 +109,8 @@ def render(into: Path, documents: dict) -> dict:
     codes = {}
     for family in SWEEP_FAMILIES:
         codes[f"{family}.csv"] = main(["sweep", "--family", family, "--out", str(into / f"{family}.csv")])
+    for out, argv in EXACT_COMMANDS.items():
+        codes[out] = main(argv + ["--out", str(into / out)])
     with tempfile.TemporaryDirectory() as scratch:
         for name, doc in documents.items():
             path = Path(scratch) / f"{name}.json"

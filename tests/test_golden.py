@@ -1,8 +1,9 @@
 """Exact and seeded sampled CLI outputs against committed goldens.
 
 ``tests/golden`` holds the outputs that ``tests/golden/regen.py`` wrote: in
-exact mode the edge and plane sweeps (CSV and summary) and ``identify`` on the
-scenario documents of ``documents.json``; in sampled mode, with fixed seeds,
+exact mode the edge and plane sweeps (CSV and summary), a seeded pure-state
+``random-bench`` with an ``eta`` and ``identify`` on the scenario documents of
+``documents.json``; in sampled mode, with fixed seeds,
 two ``random-bench`` runs, a plane sweep (CSV) and an edge sweep (JSON) with
 their error bars, ``identify`` on two documents and ``tetra-check`` on 500 seeded
 mechanisms; with every exit code.  The tests rerun the same commands
