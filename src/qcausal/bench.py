@@ -306,7 +306,7 @@ def exact_margin(scenario: Scenario, config: AlgoConfig | None = None, *, stop_m
 
     ``min(|margins|)`` of the exact run, over the plane-gap comparison and the deciding criterion; scenarios with a small
     margin flip verdicts under sampling noise and are excluded from accuracy tallies.  Returns ``(margin, verdict)``;
-    with ``stop_margin`` the run stops as ``identify`` stops, and its margin is below it iff the full run's is.
+    with ``stop_margin`` it stops as ``identify`` does, its margin below it iff the full run's is (DC: <= full, CC: >=).
     """
     result = identify(make_oracle(scenario), config, stop_margin=stop_margin)
     return min(abs(m) for m in result.margins), result.verdict

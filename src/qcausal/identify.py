@@ -188,18 +188,19 @@ def _symmetric_correlation_estimate(p0, records) -> np.ndarray:
     return np.array([[s0, s3, s4], [s3, s1, s5], [s4, s5, s2]])
 
 
-def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig) -> Iterator[ScanEntry]:
-    """Probe the candidate axes of ``p0`` with same-frame queries, yielding each probe as it is made.
+def alignment_scan(oracle: MeasurementOracle, p0: np.ndarray, config: AlgoConfig, axes=None) -> Iterator[ScanEntry]:
+    """Probe the candidate ``axes`` of ``p0`` (computed if not given) with same-frame queries, yielding each probe.
 
     If no candidate reaches the alignment cutoff, one refinement query is added: the measured vectors
     determine (in the least-squares sense) the symmetric part of the correlation matrix, whose top
     eigenvector is the best frame any mechanism could offer; probing it makes the reported criterion the
     tight mimicry bound rather than an artifact of the sign enumeration.  The probe is skipped when its
     zenith lies within ``1 - |cos| < 1e-9`` of a probed frame's, an angle of about 4.5e-5 rad, so that
-    bound holds only to about 1e-9.
+    bound holds only to about 1e-9.  It decides only in sampled mode: exactly, a channel aligns on its own
+    candidate axis, and a state here has ``1 - C33 >= plane_gap / 2 >= delta / 2 >= epsilon`` in every frame.
     """
     entries = []
-    for axis in axis_candidates(p0):
+    for axis in axis_candidates(p0) if axes is None else axes:
         v = modifier_from_axis(axis)
         pv = oracle.query(v, v)
         entries.append(ScanEntry(oracle.history[-1], float(1.0 - pv[2])))
@@ -253,23 +254,32 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, sto
     Round zero measures the plain Pauli correlations.  Away from the ambiguous plane, candidate axes
     are probed for the alignment criterion ``1 - C33``; near the plane every candidate is pushed
     through the flipped second round for the distance criterion.  The verdict is DC exactly when the
-    smallest criterion lies below that round's threshold.  With ``stop_margin`` (a float) the run
-    stops at the first probe whose criterion ``c`` has ``c < threshold and threshold - c >=
-    stop_margin`` and reports it: the full run's verdict, but not always its criterion.
+    smallest criterion lies below that round's threshold.  With ``stop_margin`` (a float >= 0) the run stops once
+    the full run's verdict is settled (not always its criterion): DC at the first probe with ``c < threshold`` and
+    ``threshold - c >= stop_margin``; CC in exact round one, before the refinement probe, if no candidate aligned
+    and ``plane_gap - delta >= 2 stop_margin + 1e-12``, since every state has same-frame ``1 - C33 >= plane_gap / 2``
+    and ``delta >= 2 epsilon``: its criterion, refined or not, lies ``stop_margin`` or more above ``epsilon``.
     """
+    if stop_margin is not None and not stop_margin >= 0:
+        raise ValueError(f"stop_margin must be a number >= 0, got {stop_margin!r}")
     config = config or AlgoConfig()
     p0 = oracle.query()
     gap = plane_gap(p0)
+    axes = axis_candidates(p0)
     flipped = gap < config.delta + _PLANE_GUARD
     rounds, threshold = (2, config.epsilon_prime) if flipped else (1, config.epsilon)
     if flipped:
-        probes = (e for axis in axis_candidates(p0) for e in second_round(oracle, modifier_from_axis(axis)))
+        probes = (e for axis in axes for e in second_round(oracle, modifier_from_axis(axis)))
     else:
-        probes = alignment_scan(oracle, p0, config)
+        probes = alignment_scan(oracle, p0, config, axes)
+    # a scan ends after its candidates when one aligns; a NaN or infinite side never settles CC
+    cc_settled = not (flipped or oracle.shots or stop_margin is None) and gap - config.delta >= 2 * stop_margin + _PLANE_GUARD
     entries = []
     for entry in probes:
         entries.append(entry)
         if stop_margin is not None and entry.criterion < threshold and threshold - entry.criterion >= stop_margin:
+            break
+        if cc_settled and len(entries) == len(axes):
             break
     best = min(entries, key=lambda e: e.criterion)
     direct = best.criterion < threshold

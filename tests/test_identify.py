@@ -1,5 +1,6 @@
 import importlib
 import itertools
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -654,6 +655,32 @@ class TestFlippedRoundTrace:
                 assert e.criterion >= bound - 4 * np.spacing(2.0)
 
 
+_unit_axes = st.tuples(_component, _component, _component).filter(lambda v: np.linalg.norm(v) > 1e-6)
+
+
+class TestHalfGapBound:
+    """Every state has same-frame ``1 - C33 >= plane_gap(p0) / 2``: the bound behind ``delta >= 2 epsilon``.
+
+    The frame with zenith ``f`` measures ``C33 = f^T T f``, at most the top eigenvalue of ``sym(T)``, and
+    ``2 lambda_max <= 1 + tr T`` holds for every two-qubit state, an equality on some pure states; rounding
+    moves either side by a few ulps.  So a state that passes the plane test cannot align, and once
+    ``plane_gap - delta >= 2 stop_margin`` no frame brings its criterion within ``stop_margin`` of ``epsilon``.
+    """
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(_states, _boundary_states, st.builds(random_state, st.just("pure"), st.integers(0, 2**32 - 1))),
+        st.lists(_unit_axes, min_size=1, max_size=4),
+    )
+    def test_no_frame_comes_within_half_the_plane_gap(self, scenario, axes):
+        oracle = make_oracle(scenario)
+        half_gap = plane_gap(oracle.query()) / 2
+        # the top eigenvector of sym(T) is the closest frame: on the delta-boundary family it meets the bound
+        for axis in axes + [np.linalg.eigh(sym_part(scenario.state.T))[1][:, -1]]:
+            v = modifier_from_axis(np.asarray(axis))
+            assert 1.0 - oracle.query(v, v)[2] >= half_gap - 8 * np.spacing(1.0)  # 4 ulps seen on three kernels
+
+
 class TestMarginsExplainTheVerdict:
     """``margins`` are the signed distances of the plane gap to ``delta`` and of the deciding criterion to its cutoff.
 
@@ -730,20 +757,30 @@ def _probe_criteria(history, rounds_used):
 
 
 def _edge_margins(probes, threshold):
-    """Margins at, and one ulp either side of, each probe's distance below ``threshold``: the stop rule's edges."""
+    """Margins at, and one ulp either side of, each probe's distance below ``threshold``: the stop rule's edges.
+
+    Negative ones are left out: ``identify`` rejects them, and a probe at or above ``threshold`` settles nothing.
+    """
     edges = [threshold - c for _, c in probes]
-    return edges + [float(np.nextafter(e, side)) for e in edges for side in (-np.inf, np.inf)]
+    edges += [float(np.nextafter(e, side)) for e in edges for side in (-np.inf, np.inf)]
+    return [e for e in edges if e >= 0.0]
 
 
 def _check_stopped_run(scenario, shots, stop_margin):
-    """A run with ``stop_margin`` replays the full run's queries up to the first probe the rule accepts, then stops."""
+    """A run with ``stop_margin`` replays the full run's queries up to the point the rule settles, then stops.
+
+    DC settles at the first probe the rule accepts; CC, in exact round one with ``gap - delta >= 2 stop_margin``
+    (plus the 1e-12 guard), once the candidate axes of ``p0`` are probed, so the refinement query is not made.
+    """
     full_oracle, oracle = (make_oracle(scenario, shots=shots, seed=11) for _ in range(2))
     full = identify(full_oracle)
     stopped = identify(oracle, stop_margin=stop_margin)
     assert stopped.verdict == full.verdict
     probes = _probe_criteria(full_oracle.history, full.rounds_used)
     settling = [j for j, c in probes if c < full.threshold and full.threshold - c >= stop_margin]
-    assert stopped.query_count == (settling[0] + 1 if settling else full.query_count)
+    cc_side = shots == 0 and full.rounds_used == 1 and full.margins[0] >= 2 * stop_margin + 1e-12
+    candidates = 1 + len(axis_candidates(full_oracle.history[0].correlations))
+    assert stopped.query_count == (settling[0] + 1 if settling else candidates if cc_side else full.query_count)
     for a, b in zip(oracle.history, full_oracle.history):
         for x, y in ((a.modifier_x, b.modifier_x), (a.modifier_y, b.modifier_y), (a.correlations, b.correlations)):
             np.testing.assert_array_equal(x, y)
@@ -754,17 +791,27 @@ def _check_stopped_run(scenario, shots, stop_margin):
         assert stopped.verdict == "DC"
         assert stopped.threshold - stopped.criterion_value >= stop_margin
         np.testing.assert_array_equal(stopped.winning_modifier, oracle.history[-1].modifier_x)
+    elif cc_side and full.verdict == "CC":
+        # only the refinement probe is left out: it can lower the criterion, never below epsilon + stop_margin
+        assert stopped.criterion_value >= full.criterion_value
+        assert min(map(abs, stopped.margins)) >= min(map(abs, full.margins)) >= stop_margin
     return full_oracle.history, full
 
 
+def _gap_edges(full):
+    """Stop margins at, and one ulp either side of, where ``gap - delta >= 2 stop_margin + 1e-12`` turns false."""
+    edge = (full.margins[0] - 1e-12) / 2
+    return [e for e in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)) if e >= 0.0]
+
+
 class TestStopMargin:
-    """``stop_margin`` ends a run at the probe that settles its verdict, and changes nothing before it."""
+    """``stop_margin`` ends a run at the point that settles its verdict, and changes nothing before it."""
 
     @settings(deadline=None, max_examples=150)
     @given(_stop_mechanisms, st.sampled_from([0, 1000]), st.data())
     def test_stopped_run_is_a_prefix_of_the_full_run(self, scenario, shots, data):
         history, full = _check_stopped_run(scenario, shots, 0.0)
-        edges = _edge_margins(_probe_criteria(history, full.rounds_used), full.threshold)
+        edges = _edge_margins(_probe_criteria(history, full.rounds_used), full.threshold) + _gap_edges(full)
         _check_stopped_run(scenario, shots, data.draw(st.sampled_from([0.05, 0.3] + edges)))
 
     @pytest.mark.parametrize("shots", [0, 1000])
@@ -775,9 +822,20 @@ class TestStopMargin:
             for stop_margin in _edge_margins(_probe_criteria(history, full.rounds_used), full.threshold):
                 _check_stopped_run(scenario, shots, stop_margin)
 
+    def test_every_gap_edge_stops_where_the_rule_says(self):
+        states = [random_state(kind, s) for kind in ("mixed", "pure") for s in range(15)]
+        cc_stops = 0
+        for scenario in states + [bell_diagonal([0.1, 0.2, 0.3, 0.4]), bell_diagonal([0.3, 0.3, 0.4, 0.0])]:
+            _, full = _check_stopped_run(scenario, 0, 0.0)
+            for stop_margin in _gap_edges(full):
+                _check_stopped_run(scenario, 0, stop_margin)
+                cc_stops += identify(make_oracle(scenario), stop_margin=stop_margin).query_count < full.query_count
+        assert cc_stops >= 15  # the edge and the ulp below it stop early on most round-one states
+
     @settings(deadline=None, max_examples=100)
     @given(_stop_mechanisms, st.sampled_from(["fixed", "at", "above", "below"]), st.sampled_from([0.01, 0.05, 0.3]))
     def test_margin_pass_excludes_as_the_full_run(self, scenario, where, eta):
+        full = identify(make_oracle(scenario))
         full_margin = exact_margin(scenario)[0]
         # a cutoff on the full run's margin or one ulp from it tests the comparison at its edge
         eta = {
@@ -790,20 +848,40 @@ class TestStopMargin:
             return
         margin, verdict = exact_margin(scenario, stop_margin=eta)
         assert (margin < eta) == (full_margin < eta)
-        assert margin <= full_margin
-        assert verdict == identify(make_oracle(scenario)).verdict
+        if verdict == "CC" and identify(make_oracle(scenario), stop_margin=eta).query_count < full.query_count:
+            assert margin >= full_margin >= eta  # a common-cause stop leaves out the refinement probe alone
+        else:
+            assert margin <= full_margin
+        assert verdict == full.verdict
 
-    def test_direct_causes_stop_early_and_common_causes_never_do(self):
+    def test_direct_causes_stop_early_and_common_causes_only_before_refining(self):
         plane = [pair for _, pair in _plane_grid(6)]
-        for mechanisms, stops in (
-            ([haar_unitary(s) for s in range(40)], True),
-            ([pair["dc"] for pair in plane], True),  # in the flipped round
-            ([random_state("mixed", s) for s in range(40)], False),
-            ([pair["cc"] for pair in plane], False),
-        ):
+        for mechanisms in ([haar_unitary(s) for s in range(40)], [pair["dc"] for pair in plane]):  # plane: flipped
             full = [identify(make_oracle(m)).query_count for m in mechanisms]
             stopped = [identify(make_oracle(m), stop_margin=0.0).query_count for m in mechanisms]
-            assert (sum(stopped) < 0.8 * sum(full)) if stops else stopped == full
+            assert sum(stopped) < 0.8 * sum(full)
+        # exact round-one states stop one query early; flipped and sampled runs of states never stop early
+        rounds = Counter()
+        for shots in (0, 1000):
+            for m in [random_state("mixed", s) for s in range(40)] + [pair["cc"] for pair in plane]:
+                full = identify(make_oracle(m, shots=shots, seed=3))
+                stopped = identify(make_oracle(m, shots=shots, seed=3), stop_margin=0.0)
+                if full.verdict == "CC":
+                    early = shots == 0 and full.rounds_used == 1 and full.margins[0] >= 1e-12
+                    assert stopped.query_count == full.query_count - early
+                    rounds[shots, full.rounds_used] += 1
+        assert min(rounds[0, 1], rounds[0, 2], rounds[1000, 1], rounds[1000, 2]) >= 10
+
+    def test_rejects_a_nan_or_negative_stop_margin(self):
+        oracle = make_oracle(random_state("mixed", 0))
+        for bad in (float("nan"), -1e-300, -0.05, -float("inf")):
+            with pytest.raises(ValueError, match="stop_margin"):
+                identify(oracle, stop_margin=bad)
+        assert oracle.query_count == 0  # rejected before the first query
+        # an infinite margin never settles either verdict: the full run
+        for scenario in (random_state("mixed", 0), haar_unitary(0)):
+            full = identify(make_oracle(scenario))
+            assert identify(make_oracle(scenario), stop_margin=float("inf")).query_count == full.query_count
 
 
 class TestConfig:
