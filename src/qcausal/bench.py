@@ -4,8 +4,8 @@ The sweep runs ``identify`` on the direct-cause and common-cause
 realization of every grid point, producing one flat record per mechanism per
 point.  It reports the alignment criterion for every point and, for points
 near the ambiguous plane, the flipped-round distance.  In sampled mode both
-carry a closed-form standard deviation: the delta-method spread of the
-quantity under the binomial law of the deciding query's parity counts.
+carry the standard deviation ``comb.delta_std`` of the query they come from:
+the delta-method spread under the binomial law its parity counts are drawn from.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .comb import DirectCause, OracleRecord, Scenario, make_oracle, pauli_vector
+from .comb import DirectCause, Scenario, delta_std, make_oracle, pauli_vector
 from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric
 from .identify import AlgoConfig, SECOND_ROUND_TARGET, alignment_scan, identify
 # Unused here; bound so the per-layer benchmark tracer can wrap or count them on this module.
@@ -87,18 +87,16 @@ class ConfusionMatrix:
         return self.included + self.excluded_dc + self.excluded_cc
 
     @property
-    def accuracy(self) -> float:
-        if self.included == 0:
-            return float("nan")
-        return (self.dc_as_dc + self.cc_as_cc) / self.included
+    def accuracy(self) -> float | None:
+        """Share of scored scenarios called right; ``None`` (JSON ``null``) when nothing was scored."""
+        return (self.dc_as_dc + self.cc_as_cc) / self.included if self.included else None
 
     def to_dict(self) -> dict:
         return {
             **asdict(self),
             "included": self.included,
             "total": self.total,
-            # JSON has no NaN: an ensemble with nothing scored has no accuracy
-            "accuracy": self.accuracy if self.included else None,
+            "accuracy": self.accuracy,
         }
 
 
@@ -127,7 +125,7 @@ def bootstrap_errorbars(
 ) -> np.ndarray:
     """Standard deviations of derived quantities under count resampling.
 
-    Nothing in the package calls it: both sweep deviations are closed-form.  It stays while the per-layer
+    Nothing in the package calls it: both sweep deviations are ``comb.delta_std``.  It stays while the per-layer
     benchmark tracer wraps it by name.  ``counts`` holds one ``(same, shots)`` parity count per setting: ``same``
     of its ``shots`` shots had equal outcomes.  Each setting is resampled independently at its empirical
     frequency, and ``derive`` (default: identity) maps the ``(resamples, settings)`` array of recomputed
@@ -160,24 +158,6 @@ def bootstrap_errorbars(
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _correlation_std(record: OracleRecord, shots: int) -> float:
-    """``sqrt((1 - C33^2) / N)`` of the third correlation of ``record``: the exact limit of the parity bootstrap."""
-    corr = record.correlations.tolist()[2]
-    return math.sqrt((1.0 - corr * corr) / shots)
-
-
-def _distance_std(record: OracleRecord, shots: int, d: float) -> float:
-    """Delta-method ``sqrt(sum_k (C_k - t_k)^2 (1 - C_k^2) / N) / d`` of the distance ``d`` of ``record`` to ``t``.
-
-    ``t`` is ``(-1, -1, 1)``.  At ``d == 0`` every ``C_k`` is ``t_k = +-1``, whose binomial spread is 0.
-    """
-    if d == 0.0:
-        return 0.0
-    corr = record.correlations.tolist()
-    var = sum((x - t) ** 2 * (1.0 - x * x) / shots for x, t in zip(corr, SECOND_ROUND_TARGET.tolist()))
-    return math.sqrt(var) / d
-
-
 def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed):
     """One mechanism's sweep record; the first child of the ``SeedSequence`` ``seed`` seeds its oracle."""
     oracle = make_oracle(scenario, shots=shots, seed=seed.spawn(1)[0])
@@ -193,10 +173,10 @@ def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed):
 
     std_criterion = std_distance = None
     if shots:
-        # the criterion is 1 - C33: it reads the third setting only
-        std_criterion = _correlation_std(aligned, shots)
-        if dist is not None:
-            std_distance = _distance_std(result.record, shots, dist)
+        std_criterion = delta_std(aligned.correlations, shots, (0.0, 0.0, 1.0))  # 1 - C33 reads one setting
+        if dist is not None:  # gradient (C - t) / d, 1 / d taken out; at d == 0 every C_k = t_k = +-1 is exact
+            spread = delta_std(result.record.correlations, shots, result.record.correlations - SECOND_ROUND_TARGET)
+            std_distance = spread / dist if dist else 0.0
     return SweepRecord(
         family, param, mechanism, *p0.tolist(), result.rounds_used,
         criterion, dist, result.verdict, shots, std_criterion, std_distance,

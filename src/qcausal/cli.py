@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="edge: number of points (default 101); plane: lattice denominator (default 10)",
     )
-    p.add_argument("--resamples", type=int, default=1000, help="at least 100; changes no output (closed-form deviations)")
+    p.add_argument("--resamples", type=int, default=1000, help="at least 100; changes no output (delta-method deviations)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(run=_cmd_sweep)
     _add_common(p)

@@ -14,6 +14,7 @@ the only access the identification algorithm gets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -27,6 +28,7 @@ __all__ = [
     "CommonCause",
     "Scenario",
     "pauli_vector",
+    "delta_std",
     "MeasurementOracle",
     "make_oracle",
 ]
@@ -201,6 +203,16 @@ def _measure(scenario, wx, wy, shots, rng) -> OracleRecord:
     # Python's int / int rounds as numpy's float64 division of the same integers <= 2**53 does
     correlations = [(2 * n - shots) / shots for n in same]
     return OracleRecord(wx, wy, np.array(correlations), same, ox, oy)
+
+
+def delta_std(correlations, shots: int, gradient) -> float:
+    """Delta-method ``sqrt(sum_k g_k^2 (1 - C_k^2) / N)`` of a quantity with gradient ``g`` in one query's ``C_k``.
+
+    ``_measure`` draws each setting's parity count independently, from ``Binomial(N, (1 + C_k) / 2)``.  Squares are
+    ``g ** 2``, the bytes the sweep's deviations are pinned to: libm's ``pow`` and ``g * g`` can differ in the last bit.
+    """
+    terms = zip(np.asarray(gradient, dtype=float).tolist(), np.asarray(correlations, dtype=float).tolist())
+    return math.sqrt(sum(g ** 2 * (1.0 - c * c) / shots for g, c in terms))
 
 
 def pauli_vector(scenario: Scenario) -> np.ndarray:

@@ -272,8 +272,8 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, sto
         probes = (e for axis in axes for e in second_round(oracle, modifier_from_axis(axis)))
     else:
         probes = alignment_scan(oracle, p0, config, axes)
-    # a scan ends after its candidates when one aligns; a NaN or infinite side never settles CC
-    cc_settled = not (flipped or oracle.shots or stop_margin is None) and gap - config.delta >= 2 * stop_margin + _PLANE_GUARD
+    # a scan ends after its candidates when one aligns; NaN or inf never settles CC; a settling gap is in round one
+    cc_settled = not (oracle.shots or stop_margin is None) and gap - config.delta >= 2 * stop_margin + _PLANE_GUARD
     entries = []
     for entry in probes:
         entries.append(entry)

@@ -25,7 +25,10 @@ route to something the package computes another way:
   random states from two draws each, which the package's one draw of all
   normals must match bit for bit;
 * the row-wise distance to ``(-1, -1, 1)`` as a bootstrap ``derive``, whose
-  Monte Carlo spread the sweep's closed-form ``std_distance`` must match.
+  Monte Carlo spread the sweep's delta-method ``std_distance`` must match;
+* the two closed forms the sweep's ``std_criterion`` and ``std_distance``
+  were computed with before ``comb.delta_std`` took both, which it must
+  match bit for bit.
 """
 
 from __future__ import annotations
@@ -433,3 +436,22 @@ def second_round_products(v1: np.ndarray, v2: np.ndarray):
 def target_distances(c: np.ndarray) -> np.ndarray:
     """Row-wise distance of ``(resamples, 3)`` correlations to ``(-1, -1, 1)``: a bootstrap ``derive``."""
     return np.linalg.norm(c - SECOND_ROUND_TARGET, axis=1)
+
+
+def correlation_std(correlations, shots: int) -> float:
+    """``sqrt((1 - C33^2) / N)`` of the third correlation: the sweep's ``std_criterion`` as a closed form."""
+    corr = np.asarray(correlations, dtype=float).tolist()[2]
+    return math.sqrt((1.0 - corr * corr) / shots)
+
+
+def distance_std(correlations, shots: int, d: float) -> float:
+    """Delta-method ``sqrt(sum_k (C_k - t_k)^2 (1 - C_k^2) / N) / d`` of the distance ``d`` of ``C`` to ``t``.
+
+    ``t`` is ``(-1, -1, 1)``.  At ``d == 0`` every ``C_k`` is ``t_k = +-1``, whose binomial spread is 0.
+    The sweep's ``std_distance`` as a closed form.
+    """
+    if d == 0.0:
+        return 0.0
+    corr = np.asarray(correlations, dtype=float).tolist()
+    var = sum((x - t) ** 2 * (1.0 - x * x) / shots for x, t in zip(corr, SECOND_ROUND_TARGET.tolist()))
+    return math.sqrt(var) / d

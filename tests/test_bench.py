@@ -81,6 +81,30 @@ def _std_error_of_std(x):
     return np.sqrt(max((d ** 4).mean() - var ** 2, 0.0) / len(x)) / (2.0 * np.sqrt(var))
 
 
+def _record_delta_std(monkeypatch):
+    """Record each ``bench.delta_std`` call as ``(record, shots, gradient, value)``.
+
+    ``record`` is the oracle's record of the query whose correlations the call was handed, so its parity
+    counts are at hand; ``gradient`` is a list of floats.
+    """
+    calls, oracles = [], []
+    make, sigma = bench.make_oracle, bench.delta_std
+
+    def oracle_recorder(*args, **kwargs):
+        oracles.append(make(*args, **kwargs))
+        return oracles[-1]
+
+    def sigma_recorder(correlations, shots, gradient):
+        (record,) = [rec for rec in oracles[-1].history if rec.correlations is correlations]
+        value = sigma(correlations, shots, gradient)
+        calls.append((record, shots, np.asarray(gradient, dtype=float).tolist(), value))
+        return value
+
+    monkeypatch.setattr(bench, "make_oracle", oracle_recorder)
+    monkeypatch.setattr(bench, "delta_std", sigma_recorder)
+    return calls
+
+
 class TestParityBootstrap:
     def test_law_matches_multinomial_resampling(self):
         resamples = 20_000
@@ -107,31 +131,20 @@ class TestParityBootstrap:
             assert abs(new[:, j].std() - ref[:, j].std()) <= 5 * se_std + 1e-12
 
     def test_criterion_pass_reads_the_third_setting_only(self, monkeypatch):
-        # the criterion's deviation is the closed form of its third-setting counts, and the flipped
-        # round's distance the closed form of all three of its settings: nothing is bootstrapped
-        closed, flips = [], []
-        original_closed, original_flip = bench._correlation_std, bench._distance_std
-
+        # the criterion's deviation is the delta-method sigma of its third-setting counts, and the flipped
+        # round's distance that of all three of its settings: nothing is bootstrapped
         def no_bootstrap(*args, **kwargs):
             raise AssertionError("a sweep record was bootstrapped")
 
-        def closed_recorder(record, shots):
-            closed.append((record.counts[2], shots))
-            return original_closed(record, shots)
-
-        def flip_recorder(record, shots, d):
-            flips.append([(same, shots) for same in record.counts])
-            return original_flip(record, shots, d)
-
         monkeypatch.setattr(bench, "bootstrap_errorbars", no_bootstrap)
-        monkeypatch.setattr(bench, "_correlation_std", closed_recorder)
-        monkeypatch.setattr(bench, "_distance_std", flip_recorder)
+        calls = _record_delta_std(monkeypatch)
         for a, rounds in ((0.5, 1), (0.03, 2)):
-            closed.clear()
-            flips.clear()
+            calls.clear()
             r = bench._evaluate_scenario("edge", f"{a}", "cc", edge_cc(a), AlgoConfig(), 5000, np.random.SeedSequence(6))
             assert (r.param, r.mechanism, r.N) == (f"{a}", "cc", 5000)
             assert r.round == rounds
+            closed = [(rec.counts[2], n) for rec, n, gradient, _ in calls if gradient == [0.0, 0.0, 1.0]]
+            flips = [(rec, n, gradient) for rec, n, gradient, _ in calls if gradient != [0.0, 0.0, 1.0]]
             (third,) = closed
             assert abs(1.0 - correlation(third) - r.criterion) < 1e-12
             same, shots = third
@@ -140,11 +153,13 @@ class TestParityBootstrap:
             assert r.std_criterion == np.sqrt((1.0 - c33 * c33) / 5000) > 0.0
             assert len(flips) == rounds - 1
             if rounds == 2:
-                # the distance reads all three settings of the flipped round
-                (flipped,) = flips
+                # the distance reads all three settings of the flipped round, its gradient C - t with 1 / d taken out
+                ((record, shots, gradient),) = flips
+                flipped = [(same, shots) for same in record.counts]
                 assert len(flipped) == 3
                 values = [correlation(c) for c in flipped]
                 assert abs(distance(values, SECOND_ROUND_TARGET) - r.distance) < 1e-12
+                assert gradient == [c - t for c, t in zip(record.correlations.tolist(), SECOND_ROUND_TARGET.tolist())]
                 spread = sum((v - t) ** 2 * (1.0 - v * v) for v, t in zip(values, SECOND_ROUND_TARGET.tolist()))
                 assert r.std_distance == pytest.approx(np.sqrt(spread / 5000) / r.distance, rel=1e-12)
                 assert r.std_distance > 0.0
@@ -167,23 +182,21 @@ class TestParityBootstrap:
 
 
 class TestDistanceStd:
-    """The flipped round's closed-form ``std_distance`` against a bootstrap of its counts and the Poincare bound."""
+    """The flipped round's delta-method ``std_distance`` against a bootstrap of its counts and the Poincare bound."""
 
     @pytest.mark.parametrize("shots", [1000, 10_000])
     @pytest.mark.parametrize("family", ["plane", "edge"])
     def test_matches_the_bootstrap_below_the_poincare_bound(self, family, shots, monkeypatch):
-        calls = []
-        original = bench._distance_std
-
-        def recorder(record, n, d):
-            calls.append(([(same, n) for same in record.counts], d, original(record, n, d)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(bench, "_distance_std", recorder)
+        calls = _record_delta_std(monkeypatch)
         records = run_sweep(family, shots=shots, seed=1)
-        assert [r.std_distance for r in records if r.round == 2] == [std for _, _, std in calls]
+        # each sampled record takes its criterion's sigma, then a flipped record its distance's
+        flips = [(record, spread) for record, _, gradient, spread in calls if gradient != [0.0, 0.0, 1.0]]
+        rows = [r for r in records if r.round == 2]
+        assert len(flips) == len(rows)
         tally = Counter()
-        for i, (counts, d, std) in enumerate(calls):
+        for i, ((record, spread), r) in enumerate(zip(flips, rows)):
+            counts, d, std = [(same, shots) for same in record.counts], r.distance, r.std_distance
+            assert std == (spread / d if d else 0.0)
             corr = np.array([correlation(c) for c in counts])
             assert d == pytest.approx(distance(corr, SECOND_ROUND_TARGET), rel=1e-12)
             if d == 0.0:
@@ -407,6 +420,15 @@ class TestRandomBench:
     def test_accuracy_property(self):
         cm = ConfusionMatrix(dc_as_dc=48, dc_as_cc=2, cc_as_dc=1, cc_as_cc=49)
         assert abs(cm.accuracy - 0.97) < 1e-12
+
+    def test_accuracy_is_none_when_nothing_was_scored(self):
+        cm = ConfusionMatrix(excluded_dc=2, excluded_cc=1)
+        assert (cm.included, cm.total) == (0, 3)
+        assert cm.accuracy is None
+        assert json.loads(json.dumps(cm.to_dict(), allow_nan=False))["accuracy"] is None
+        # a cutoff above every margin excludes the whole ensemble
+        cm = run_random_bench(4, eta=10.0, seed=0)
+        assert (cm.included, cm.excluded_dc, cm.excluded_cc, cm.accuracy) == (0, 2, 2, None)
 
     def test_margin_positive_for_generic_scenarios(self):
         assert exact_margin(haar_unitary(21))[0] > 0.0

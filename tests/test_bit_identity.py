@@ -19,12 +19,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qcausal
 from qcausal import bench
+from qcausal.bench import run_sweep
 from qcausal.comb import (
     _I2,
     _IDENTITY_FRAME,
@@ -35,6 +36,7 @@ from qcausal.comb import (
     _measure,
     _probability_table,
     _row,
+    delta_std,
     make_oracle,
     pauli_vector,
 )
@@ -54,6 +56,8 @@ from reference import (
     barycentric_batch,
     barycentric_dot,
     barycentric_matmul,
+    correlation_std,
+    distance_std,
     haar_unitary_matrix_two_draws,
     mixed_state_rho,
     pauli_vector_matmul,
@@ -159,6 +163,63 @@ class TestSampledParities:
             # equal and unequal outcomes of each setting, times their signs +1 and -1
             counts = np.array([(same, shots - same) for same in oracle.history[-1].counts])
             assert same_bits(values, counts @ [1.0, -1.0] / shots)
+
+
+class TestDeltaStd:
+    """``comb.delta_std`` against the closed forms the sweep's two deviations had before it, in ``float.hex``.
+
+    The criterion ``1 - C33`` takes the gradient ``(0, 0, 1)``; the distance ``d`` to ``(-1, -1, 1)`` takes
+    ``C - t``, its ``1 / d`` taken out, and reads 0 at ``d == 0``.
+    """
+
+    @staticmethod
+    def sweep_std(correlations, shots, d):
+        corr = np.asarray(correlations, dtype=float)
+        spread = delta_std(corr, shots, corr - SECOND_ROUND_TARGET)
+        return delta_std(corr, shots, (0.0, 0.0, 1.0)), spread / d if d else 0.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(st.sampled_from([1, 2, 100, 1000, 100_000]), st.integers(1, 10**7)),
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+    )
+    # parity counts whose std_distance moves a last bit if the squares are taken as g * g, not g ** 2 (glibc 2.36)
+    @example(10_000, [0.9176, 0.5102, 0.9075])
+    @example(100_000, [0.21856, 0.98074, 0.29741])
+    def test_parity_ratios(self, shots, fractions):
+        corr = [(2 * round(f * shots) - shots) / shots for f in fractions]
+        d = distance(corr, SECOND_ROUND_TARGET)
+        criterion, dist = self.sweep_std(corr, shots, d)
+        assert criterion.hex() == correlation_std(corr, shots).hex()
+        assert dist.hex() == distance_std(corr, shots, d).hex()
+
+    def test_seeded_sampled_sweeps(self, monkeypatch):
+        calls, original = [], bench.delta_std
+
+        def recorder(correlations, shots, gradient):
+            calls.append((correlations, shots, np.asarray(gradient, dtype=float).tolist()))
+            return original(correlations, shots, gradient)
+
+        monkeypatch.setattr(bench, "delta_std", recorder)
+        tally = {"round one": 0, "flipped": 0, "d == 0": 0}
+        for family, grid, shots, seed in [("plane", 10, 1000, 0), ("plane", 10, 100_000, 1), ("edge", 101, 1000, 2),
+                                          ("edge", 41, 10_000, 3), ("plane", 4, 100, 4)]:
+            calls.clear()
+            records = run_sweep(family, grid, shots=shots, seed=seed)
+            criteria = [corr for corr, _, gradient in calls if gradient == [0.0, 0.0, 1.0]]
+            flips = iter(corr for corr, _, gradient in calls if gradient != [0.0, 0.0, 1.0])
+            assert len(criteria) == len(records)
+            for r, corr in zip(records, criteria):
+                assert r.std_criterion.hex() == correlation_std(corr, shots).hex()
+                if r.round == 1:
+                    tally["round one"] += 1
+                    assert r.std_distance is None
+                    continue
+                tally["flipped"] += 1
+                tally["d == 0"] += r.distance == 0.0
+                assert r.std_distance.hex() == distance_std(next(flips), shots, r.distance).hex()
+            assert next(flips, None) is None
+        assert min(tally.values()) > 0, tally
 
 
 class TestParityDivision:

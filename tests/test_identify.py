@@ -1,11 +1,12 @@
 import importlib
 import itertools
+import math
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
@@ -21,6 +22,7 @@ from qcausal.comb import (
 )
 from qcausal.geometry import distance, plane_gap
 from qcausal.identify import (
+    _PLANE_GUARD,
     AlgoConfig,
     SECOND_ROUND_TARGET,
     alignment_scan,
@@ -882,6 +884,54 @@ class TestStopMargin:
         for scenario in (random_state("mixed", 0), haar_unitary(0)):
             full = identify(make_oracle(scenario))
             assert identify(make_oracle(scenario), stop_margin=float("inf")).query_count == full.query_count
+
+
+def _settles_but_flips(gap, delta, stop_margin):
+    """Whether ``identify`` would settle a common cause on ``gap`` while the same gap takes the flipped round."""
+    return gap - delta >= 2 * stop_margin + _PLANE_GUARD and gap < delta + _PLANE_GUARD
+
+
+#: Half an ulp of ``_PLANE_GUARD``: tiny deltas on this grid put ``delta + _PLANE_GUARD`` on a rounding tie.
+_HALF_ULP = math.ulp(_PLANE_GUARD) / 2
+
+
+class TestSettledGapIsRoundOne:
+    """A plane gap that settles a common cause never takes the flipped round, so the stop rule tests no round.
+
+    The stop needs ``gap - delta >= 2 stop_margin + G`` and the flipped round ``gap < delta + G``, ``G`` being
+    ``_PLANE_GUARD``, both in floats.  Where ``gap - delta`` is exact (``gap`` within ``[delta / 2, 2 delta]``) the
+    first gives ``gap >= delta + G`` as reals, so ``gap`` is at least the float ``delta + G``.  Elsewhere a settling
+    ``gap`` exceeds ``2 delta`` and ``delta < G``: ``gap`` lies on ``G``'s ulp grid, and the only window is
+    ``delta`` an odd number of half ulps, where both sums are ties.  ``delta + G`` rounds above ``gap`` only when
+    ``gap``'s last mantissa bit is odd, and then ``gap - delta`` rounds to ``G`` only when ``G``'s is even; 1e-12's
+    is odd, so ``gap - delta`` rounds below ``G`` and the window is empty.
+    """
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            st.floats(5e-324, 1e-12),
+            st.floats(1e-12, 4.0),
+            st.integers(1, 400).map(lambda k: k * _HALF_ULP),
+        ),
+        st.integers(-64, 64),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 1.0)),
+    )
+    @example(_HALF_ULP, 0, 0.0)  # delta + G ties up past gap = G
+    @example(3 * _HALF_ULP, -1, 0.0)  # the tie a guard with an even mantissa would settle and flip
+    def test_no_settling_gap_is_flipped(self, delta, steps, stop_margin):
+        # gaps within 64 ulps of delta + G, the float where the flipped round ends
+        base = delta + _PLANE_GUARD
+        gap = base + steps * math.ulp(base)
+        assert not _settles_but_flips(gap, delta, stop_margin)
+
+    def test_every_tie_below_the_guard(self):
+        # every delta of up to 400 half ulps of G, against every gap on G's grid from 4 ulps below it
+        assert (_PLANE_GUARD / math.ulp(_PLANE_GUARD)) % 2 == 1  # G's mantissa is odd
+        for k in range(1, 401):
+            delta = k * _HALF_ULP
+            for j in range(-4, k // 2 + 5):
+                assert not _settles_but_flips(_PLANE_GUARD + j * 2 * _HALF_ULP, delta, 0.0), (k, j)
 
 
 class TestConfig:
