@@ -15,10 +15,13 @@ and compare at two strengths:
   last printed digit is allowed on top);
 * equal bytes, when this process's BLAS gives the results of the kernel that
   wrote the goldens on fixed inputs to the three routines the package calls:
-  ``ddot``, ``dgemm`` and ``dgemv``.  Another kernel can fuse multiply and add
-  in one routine and not in another, or sum in another order; it moves last
+  ``ddot``, ``dgemm`` and ``dgemv``, and its libm squares fixed floats with
+  ``x ** 2`` as the golden machine's did.  Another kernel can fuse multiply and
+  add in one routine and not in another, or sum in another order; it moves last
   bits (residues of zero of about 1e-16 in the sweeps), never a verdict or a
-  round.
+  round.  Python's float ``**`` calls the platform's ``pow``, which need not
+  round correctly, and ``comb.delta_std`` squares that way, so the sampled
+  error bars can move in the last bit with the libm as well.
 """
 
 import json
@@ -37,8 +40,10 @@ _CSV_FLOAT_COLUMNS = {"C11", "C22", "C33", "criterion", "distance", "std_criteri
 #: between fused and unfused kernels and between summation orders.
 _A = np.array([[0.1, 0.1, 0.1], [0.1, 0.2, 0.9], [0.3, 0.7, 0.11]])
 _B = np.array([[0.1, 0.1, 0.9], [0.2, 0.1, 0.3], [0.9, 0.1, 0.7]])
+#: Floats whose ``x ** 2`` differs from ``x * x`` in the last bit under glibc 2.36's ``pow``, both ways.
+_SQUARED = [6e-05, 0.009925, 2.2940387466154]
 #: ``blas_fingerprint()`` on the machine that wrote the goldens: x86-64 with AVX-512, numpy
-#: 2.4.6 on scipy-openblas 0.3.31, whose ``DYNAMIC_ARCH`` picks the SkylakeX kernel there.
+#: 2.4.6 on scipy-openblas 0.3.31, whose ``DYNAMIC_ARCH`` picks the SkylakeX kernel there, and glibc 2.36.
 GOLDEN_BLAS = {
     "ddot": [0.12000000000000001, 0.26899999999999996],
     "dgemm": [
@@ -50,15 +55,17 @@ GOLDEN_BLAS = {
         0.12000000000000001, 0.030000000000000006, 0.19,
         0.12000000000000001, 0.8600000000000001, 0.26899999999999996,
     ],
+    "pow": [3.6000000000000004e-09, 9.850562499999999e-05, 5.262613770972756],
 }
 
 
 def blas_fingerprint() -> dict:
-    """Results of ``ddot``, ``dgemm`` and ``dgemv`` (vector by matrix, matrix by vector) on ``_A``, ``_B``."""
+    """``ddot``, ``dgemm`` and ``dgemv`` (vector by matrix, matrix by vector) on ``_A``, ``_B``; libm's ``x ** 2``."""
     return {
         "ddot": [float(_A[0].dot(_A[1])), float(_A[1].dot(_A[2]))],
         "dgemm": _A.dot(_B).ravel().tolist(),
         "dgemv": _A[0].dot(_B).tolist() + _A.dot(_A[1]).tolist(),
+        "pow": [x ** 2 for x in _SQUARED],
     }
 
 
@@ -114,7 +121,7 @@ def _check(tmp_path, render_outputs, codes_file: str):
     documents = json.loads((GOLDEN / "documents.json").read_text(encoding="utf-8"))
     codes = render_outputs(tmp_path, documents)
     assert codes == json.loads((GOLDEN / codes_file).read_text(encoding="utf-8"))
-    # equal bytes only where all three routines give the golden machine's results
+    # equal bytes only where all three routines and the squares give the golden machine's results
     exact_bytes = blas_fingerprint() == GOLDEN_BLAS
     mismatches = []
     for name in (n for out in codes for n in ((out, out + ".summary.json") if out.endswith(".csv") else (out,))):
@@ -135,3 +142,9 @@ def test_exact_outputs_match_the_goldens(tmp_path):
 def test_seeded_sampled_outputs_match_the_goldens(tmp_path):
     # shot counts and confusion tallies are non-float fields: equal at either strength
     _check(tmp_path, render_sampled, "exit_codes-sampled.json")
+
+
+def test_fingerprint_squares_tell_pow_from_a_product():
+    # on the golden machine each square differs from the correctly rounded product, so a libm that rounds
+    # correctly, or otherwise, fails the fingerprint and takes the 1e-12 path
+    assert all(square != x * x for square, x in zip(GOLDEN_BLAS["pow"], _SQUARED))

@@ -751,10 +751,16 @@ def _probe_criteria(history, rounds_used):
     if rounds_used == 1:
         return [(i, float(1.0 - r.correlations[2])) for i, r in enumerate(history) if i > 0]
     probes, i = [], 1
-    while i < len(history):  # each flip query is followed by one probe per axis candidate of its vector
-        k = len(axis_candidates(history[i].correlations))
-        probes += [(j, distance(history[j].correlations, SECOND_ROUND_TARGET)) for j in range(i + 1, i + 1 + k)]
-        i += 1 + k
+    while i < len(history):
+        # a flip query ``p1`` in frame ``v1`` is followed by the probes ``v1 v2``, one per axis candidate of ``p1``
+        # in order, or by none when the frame was skipped
+        flip = history[i]
+        i += 1
+        frame = [flip.modifier_x.dot(modifier_from_axis(axis)) for axis in axis_candidates(flip.correlations)]
+        made = [j for j, v in enumerate(frame) if i + j < len(history) and np.array_equal(history[i + j].modifier_x, v)]
+        assert made in ([], list(range(len(frame))))
+        probes += [(i + j, distance(history[i + j].correlations, SECOND_ROUND_TARGET)) for j in made]
+        i += len(made)
     return probes
 
 
