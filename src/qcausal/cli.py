@@ -156,6 +156,8 @@ def _cmd_identify(args) -> int:
             for rec in oracle.history
         ],
     }
+    for i, bound in result.skipped_bounds:  # the flip query of a frame left unprobed
+        doc["trail"][i]["skipped_bound"] = bound
     _emit(_json(doc), args.out)
     return EXIT_DC if result.verdict == "DC" else EXIT_CC
 

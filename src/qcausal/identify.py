@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .comb import MeasurementOracle, OracleRecord
+from .comb import MeasurementOracle, OracleRecord, delta_std
 from .geometry import DC_VERTICES, distance, plane_gap
 from .linalg import X_AXIS, Y_AXIS, Z_AXIS, pauli, unitary_from_axis_angle
 # Unused here; bound so the per-layer benchmark tracer can wrap it on this module.
@@ -44,6 +44,8 @@ _SX = pauli(1)
 SECOND_ROUND_TARGET = DC_VERTICES[3]
 #: Plane gaps below ``delta + _PLANE_GUARD`` take the flipped round (see ``AlgoConfig``).
 _PLANE_GUARD = 1e-12
+#: Width, in delta-method sigmas, of the band a sampled bound must clear.
+_BAND_SIGMAS = 3
 #: ``1 - cos(theta)`` or summed axis weights below this leave +z as the only candidate axis.
 _AXIS_TOL = 1e-9
 
@@ -90,7 +92,8 @@ class ClassificationResult:
     the comparisons behind the round and the verdict (DC exactly when the second is positive).
     ``record`` is the oracle's record of the query that value was computed
     from, its parity counts included in sampled mode; every query is in the
-    oracle's ``history``.
+    oracle's ``history``.  ``skipped_bounds`` holds ``(history index, bound)``
+    for each flip query whose frame the flipped round did not probe.
     """
 
     verdict: str
@@ -101,6 +104,7 @@ class ClassificationResult:
     record: OracleRecord
     margins: tuple[float, float]
     query_count: int = 0
+    skipped_bounds: tuple = ()
 
 
 class ScanEntry(NamedTuple):
@@ -229,7 +233,7 @@ def _refinement_probe(oracle, p0, entries):
     yield ScanEntry(oracle.history[-1], float(1.0 - pv[2]))
 
 
-def second_round(oracle: MeasurementOracle, v1: np.ndarray) -> Iterator[ScanEntry]:
+def second_round(oracle: MeasurementOracle, v1: np.ndarray, entries=(), skipped=None) -> Iterator[ScanEntry]:
     """Flipped-frame retest of ``v1``, yielding each probe's distance to ``(-1, -1, 1)`` as it is made.
 
     The Y-side basis gets an extra Pauli-x conjugation inside the frame of
@@ -238,10 +242,20 @@ def second_round(oracle: MeasurementOracle, v1: np.ndarray) -> Iterator[ScanEntr
     axis the rerun can align, landing on ``(-1, -1, 1)``.  New modifiers
     compose on the right of ``v1`` because the rerun operates in the frame
     it already rotated into.
+
+    Each probe's correlations sum to those of the flip query ``p1``, so it lies ``b = |sum_k C_k(p1) + 1| / sqrt(3)``
+    or more from the target.  The frame is not probed when ``b - 3 sigma_b`` (``delta_std`` of ``p1``, 0 exactly)
+    exceeds the best of ``entries``, the probes so far, by over 1e-12; ``(history index, b)`` of ``p1`` then goes
+    to ``skipped``.  Without ``entries`` every frame is probed.
     """
     v1 = np.asarray(v1, dtype=complex)
     v1_flip = v1.dot(_SX)
     p1 = oracle.query(v1, v1_flip)
+    bound = abs(sum(p1.tolist()) + 1.0) / math.sqrt(3.0)
+    band = _BAND_SIGMAS * delta_std(p1, oracle.shots, (1.0 / math.sqrt(3.0),) * 3) if oracle.shots else 0.0
+    if bound - band > min((e.criterion for e in entries), default=math.inf) + _PLANE_GUARD:
+        skipped.append((oracle.query_count - 1, bound))
+        return
     for axis in axis_candidates(p1):
         v2 = modifier_from_axis(axis)
         pv = oracle.query(v1.dot(v2), v1_flip.dot(v2))
@@ -252,8 +266,9 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, sto
     """Decide whether the mechanism behind ``oracle`` is a direct or common cause.
 
     Round zero measures the plain Pauli correlations.  Away from the ambiguous plane, candidate axes
-    are probed for the alignment criterion ``1 - C33``; near the plane every candidate is pushed
-    through the flipped second round for the distance criterion.  The verdict is DC exactly when the
+    are probed for the alignment criterion ``1 - C33``; near the plane every candidate is pushed, in order,
+    through the flipped second round for the distance criterion, bar frames whose trace bound cannot beat the best
+    probe so far (see ``second_round``), each skip in ``skipped_bounds``.  The verdict is DC exactly when the
     smallest criterion lies below that round's threshold.  With ``stop_margin`` (a float >= 0) the run stops once
     the full run's verdict is settled (not always its criterion): DC at the first probe with ``c < threshold`` and
     ``threshold - c >= stop_margin``; CC in exact round one, before the refinement probe, if no candidate aligned
@@ -268,13 +283,13 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, sto
     axes = axis_candidates(p0)
     flipped = gap < config.delta + _PLANE_GUARD
     rounds, threshold = (2, config.epsilon_prime) if flipped else (1, config.epsilon)
+    entries, skipped = [], []
     if flipped:
-        probes = (e for axis in axes for e in second_round(oracle, modifier_from_axis(axis)))
+        probes = (e for axis in axes for e in second_round(oracle, modifier_from_axis(axis), entries, skipped))
     else:
         probes = alignment_scan(oracle, p0, config, axes)
     # a scan ends after its candidates when one aligns; NaN or inf never settles CC; a settling gap is in round one
     cc_settled = not (oracle.shots or stop_margin is None) and gap - config.delta >= 2 * stop_margin + _PLANE_GUARD
-    entries = []
     for entry in probes:
         entries.append(entry)
         if stop_margin is not None and entry.criterion < threshold and threshold - entry.criterion >= stop_margin:
@@ -292,4 +307,5 @@ def identify(oracle: MeasurementOracle, config: AlgoConfig | None = None, *, sto
         record=best.record,
         margins=(gap - config.delta, threshold - best.criterion),
         query_count=oracle.query_count,
+        skipped_bounds=tuple(skipped),
     )

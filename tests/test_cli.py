@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -25,6 +26,20 @@ class TestIdentifyCommand:
         assert doc["criterion_value"] < 1e-9
         assert doc["query_count"] >= 2
         assert doc["trail"][0]["correlations"] == pytest.approx([0, 0, 1], abs=1e-9)
+
+    def test_skipped_frames_carry_their_trace_bound(self, tmp_path, capsys):
+        # a quarter turn about an axis of the xy-plane lies on the ambiguous plane: the flipped round
+        path = write_json(tmp_path / "plane.json", {"dc": {"axis": [0.6, 0.8, 0], "angle": np.pi / 2}})
+        assert main(["identify", path]) == EXIT_DC
+        doc = json.loads(capsys.readouterr().out)
+        skipped = [e for e in doc["trail"] if "skipped_bound" in e]
+        assert skipped
+        for e in doc["trail"]:
+            assert list(e) == ["modifier_x", "modifier_y", "correlations"] + ["skipped_bound"] * (e in skipped)
+        for e in skipped:
+            # the flip query's distance bound, and no probe of its frame could have beaten the best one
+            assert e["skipped_bound"] == abs(sum(e["correlations"]) + 1.0) / math.sqrt(3.0)
+            assert e["skipped_bound"] > doc["criterion_value"] + 1e-12
 
     def test_eighth_turn_channel(self, tmp_path, capsys):
         path = write_json(tmp_path / "dc8.json", {"dc": {"axis": [0, 0, 1], "angle": 0.785398}})

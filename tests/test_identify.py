@@ -657,6 +657,92 @@ class TestFlippedRoundTrace:
                 assert e.criterion >= bound - 4 * np.spacing(2.0)
 
 
+#: A plane-test cutoff above every plane gap (at most 4): every run takes the flipped round.
+_ALWAYS_FLIPPED = AlgoConfig(delta=5.0)
+
+
+def _unpruned_minimum(scenario):
+    """The best probe of the flipped round over every frame of ``p0``'s candidates, none skipped."""
+    oracle = make_oracle(scenario)
+    entries = [e for axis in axis_candidates(oracle.query()) for e in second_round(oracle, modifier_from_axis(axis))]
+    return min(entries, key=lambda e: e.criterion)
+
+
+def _without_skips(oracle, v1, entries, skipped):
+    """``second_round`` as ``identify`` calls it, but probing every frame."""
+    return second_round(oracle, v1)
+
+
+class TestSkippedFramesKeepTheMinimum:
+    """Exactly, the flipped round skips only frames that cannot lower its minimum: the criterion keeps its bits.
+
+    A frame is skipped when its trace bound exceeds the best probe so far by more than 1e-12, and no probe of it
+    lies more than a few ulps below that bound (``TestFlippedRoundTrace``).  Frames keep their candidate order, so
+    the first smallest probe, which sets the winning modifier, is the same one.
+    """
+
+    @settings(deadline=None, max_examples=250)
+    @given(st.one_of(_channels, _states, _boundary_states), st.sampled_from([AlgoConfig(), _ALWAYS_FLIPPED]))
+    def test_pruned_run_reports_the_minimum_over_every_frame(self, scenario, config):
+        oracle = make_oracle(scenario)
+        result = identify(oracle, config)
+        if result.rounds_used == 1:
+            assert result.skipped_bounds == ()
+            return
+        best = _unpruned_minimum(scenario)
+        assert result.criterion_value.hex() == best.criterion.hex()
+        assert result.verdict == ("DC" if best.criterion < config.epsilon_prime else "CC")
+        if result.verdict == "DC":
+            assert [v.hex() for z in result.winning_modifier.ravel() for v in (z.real, z.imag)] == [
+                v.hex() for z in best.record.modifier_x.ravel() for v in (z.real, z.imag)
+            ]
+        else:
+            assert result.winning_modifier is None
+        probed = {i for i, _ in _probe_criteria(oracle.history, 2)}
+        for i, bound in result.skipped_bounds:
+            assert bound == abs(sum(oracle.history[i].correlations.tolist()) + 1.0) / math.sqrt(3.0)
+            assert bound > result.criterion_value + _PLANE_GUARD
+            assert i + 1 not in probed  # the next query, if any, is the next frame's flip
+
+    def test_a_skipped_frame_costs_its_flip_query_alone(self):
+        # on the plane family a channel's first aligned frame leaves the later frames nothing to win
+        plane = [m for _, pair in _plane_grid(6) for m in pair.values()]
+        oracles = [make_oracle(m) for m in plane]
+        pruned = [identify(oracle) for oracle in oracles]
+        with mock.patch.object(importlib.import_module("qcausal.identify"), "second_round", _without_skips):
+            full = [identify(make_oracle(m)) for m in plane]
+        assert sum(r.query_count for r in pruned) < 0.9 * sum(r.query_count for r in full)
+        for oracle, a, b in zip(oracles, pruned, full):
+            assert (a.verdict, a.criterion_value.hex()) == (b.verdict, b.criterion_value.hex())
+            saved = sum(len(axis_candidates(oracle.history[i].correlations)) for i, _ in a.skipped_bounds)
+            assert a.query_count == b.query_count - saved
+
+
+class TestSampledSkipsAddNoErrors:
+    """In sampled mode a frame is skipped only when its bound clears the best probe by ``3 sigma_b``.
+
+    Error counts over Haar channels, pure states and the plane-6 pairs stay at most those of runs that probe
+    every frame, with the plane test as configured and with every run sent to the flipped round.
+    """
+
+    @pytest.mark.parametrize("shots", [1000, 10_000])
+    @pytest.mark.parametrize("config", [AlgoConfig(), _ALWAYS_FLIPPED], ids=["default", "always-flipped"])
+    def test_error_counts_do_not_exceed_the_unpruned_runs(self, shots, config):
+        mechanisms = [("DC", haar_unitary(s)) for s in range(60)] + [("CC", random_state("pure", s)) for s in range(60)]
+        mechanisms += [(kind.upper(), m) for _, pair in _plane_grid(6) for kind, m in pair.items()]
+
+        def run():
+            results = [identify(make_oracle(m, shots=shots, seed=s), config) for s, (_, m) in enumerate(mechanisms)]
+            return sum(r.verdict != truth for r, (truth, _) in zip(results, mechanisms)), results
+
+        errors, pruned = run()
+        with mock.patch.object(importlib.import_module("qcausal.identify"), "second_round", _without_skips):
+            full_errors, full = run()
+        assert errors <= full_errors
+        assert sum(len(r.skipped_bounds) for r in pruned) > 0
+        assert sum(r.query_count for r in pruned) < sum(r.query_count for r in full)
+
+
 _unit_axes = st.tuples(_component, _component, _component).filter(lambda v: np.linalg.norm(v) > 1e-6)
 
 
