@@ -28,7 +28,9 @@ route to something the package computes another way:
   Monte Carlo spread the sweep's delta-method ``std_distance`` must match;
 * the two closed forms the sweep's ``std_criterion`` and ``std_distance``
   were computed with before ``comb.delta_std`` took both, which it must
-  match bit for bit.
+  match bit for bit;
+* ``random-bench``'s mechanisms and sampled parity counts built from
+  ``SeedSequence(seed).spawn`` children, the streams its run must draw.
 """
 
 from __future__ import annotations
@@ -41,17 +43,19 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from qcausal.bench import exact_margin
 from qcausal.comb import (
     _IDENTITY_FRAME,
     CommonCause,
     DirectCause,
     Scenario,
     TwoQubitState,
+    make_oracle,
 )
 from qcausal.geometry import CC_TETRA, DC_TETRA
-from qcausal.identify import _AXIS_TOL, SECOND_ROUND_TARGET
+from qcausal.identify import _AXIS_TOL, SECOND_ROUND_TARGET, identify
 from qcausal.linalg import Z_AXIS, pauli, rotation_from_unitary
-from qcausal.scenarios import _BELL_KETS
+from qcausal.scenarios import _BELL_KETS, haar_unitary, random_state
 
 #: Outcome order ``(x, y)`` of the rows of ``qcausal.comb._probability_table`` and of joint distributions.
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -455,3 +459,26 @@ def distance_std(correlations, shots: int, d: float) -> float:
     corr = np.asarray(correlations, dtype=float).tolist()
     var = sum((x - t) ** 2 * (1.0 - x * x) / shots for x, t in zip(corr, SECOND_ROUND_TARGET.tolist()))
     return math.sqrt(var) / d
+
+
+def random_bench_streams(n_scenarios: int, shots: int, eta: float, seed, cc_kind: str = "mixed"):
+    """``qcausal.bench.run_random_bench``'s mechanisms and sampled parity counts, from ``SeedSequence(seed).spawn``.
+
+    Scenario ``i`` is built from child ``2 i``; unless its exact margin is below ``eta``, ``identify`` runs it
+    sampled on an oracle seeded with child ``2 i + 1``.  Returns each mechanism's matrix (the channel's unitary
+    or the state's ``rho``) and, per sampled run, the parity counts of its queries in order.
+    """
+    children = np.random.SeedSequence(seed).spawn(2 * n_scenarios)
+    matrices, counts = [], []
+    for i in range(n_scenarios):
+        if i < n_scenarios // 2:
+            scenario = haar_unitary(children[2 * i])
+            matrices.append(scenario.unitary)
+        else:
+            scenario = random_state(cc_kind, children[2 * i])
+            matrices.append(scenario.state.rho)
+        if exact_margin(scenario, stop_margin=eta)[0] >= eta:
+            oracle = make_oracle(scenario, shots=shots, seed=children[2 * i + 1])
+            identify(oracle, stop_margin=0.0)
+            counts.append([record.counts for record in oracle.history])
+    return matrices, counts

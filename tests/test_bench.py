@@ -18,11 +18,11 @@ from qcausal.bench import (
     sweep_records_to_csv,
     sweep_summary,
 )
-from qcausal.comb import make_oracle
+from qcausal.comb import DirectCause, make_oracle
 from qcausal.geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, distance
 from qcausal.identify import SECOND_ROUND_TARGET, AlgoConfig, identify
 from qcausal.scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, random_state
-from reference import audit_per_point, correlation, target_distances
+from reference import audit_per_point, correlation, random_bench_streams, target_distances
 
 
 class TestBootstrap:
@@ -445,6 +445,35 @@ class TestRandomBench:
     )
     def test_margin_analytic_values(self, scenario, margin):
         assert abs(exact_margin(scenario)[0] - margin) < 1e-12
+
+
+class TestEnsembleStreams:
+    @pytest.mark.parametrize("seed", [5, 12])
+    def test_random_bench_draws_the_spawned_children(self, monkeypatch, seed):
+        # every mechanism and every sampled oracle's parity counts come from SeedSequence(seed).spawn(2 n):
+        # the nine tallies of a random-bench output cannot show a change of stream that keeps every verdict
+        mechanisms, oracles = [], []
+
+        def recording(build):
+            return lambda *args: mechanisms.append(build(*args)) or mechanisms[-1]
+
+        def recording_oracle(scenario, shots=0, seed=None):
+            oracle = make_oracle(scenario, shots=shots, seed=seed)
+            if shots:
+                oracles.append(oracle)
+            return oracle
+
+        for name in ("haar_unitary", "random_state"):
+            monkeypatch.setattr(bench, name, recording(getattr(bench, name)))
+        monkeypatch.setattr(bench, "make_oracle", recording_oracle)
+        run_random_bench(40, shots=1000, eta=0.05, seed=seed)
+        matrices, counts = random_bench_streams(40, 1000, 0.05, seed)
+        assert len(mechanisms) == len(matrices) == 40
+        for scenario, matrix in zip(mechanisms, matrices):
+            built = scenario.unitary if isinstance(scenario, DirectCause) else scenario.state.rho
+            np.testing.assert_array_equal(built, matrix)
+        assert [[record.counts for record in oracle.history] for oracle in oracles] == counts
+        assert len(counts) > 30
 
 
 def _crafted_points(vertices: np.ndarray) -> dict:
