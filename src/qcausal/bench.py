@@ -113,6 +113,41 @@ class TetraReport:
     bell_vertices_ok: bool
 
 
+def _child_rngs(seed, n: int, suffix=()):
+    """Generators with the streams of ``default_rng(c)`` for ``c`` in ``SeedSequence(seed).spawn(n)``, made lazily.
+
+    ``suffix`` extends each spawn key ``(i,)``: ``(0,)`` gives ``default_rng(c.spawn(1)[0])``.  A child's pool is the
+    root's with its key's words mixed in after, as ``SeedSequence`` mixes entropy beyond its four-word pool: here for
+    every key at once, in uint64 masked to 32 bits.  About 1 us a Generator; ``spawn`` and ``default_rng`` take 10.
+    """
+    from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array  # loaded with SeedSequence
+
+    class Words(ISeedSequence):  # a seed that hands PCG64 its four uint64 state words
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    mask, root = 0xFFFFFFFF, np.random.SeedSequence(seed)
+    # the root has hashed four times per entropy word, and at least 16 times filling and mixing its pool
+    h = 0x43B0D7E5 * pow(0x931E8875, 4 * max(len(_coerce_to_uint32_array(root.entropy)), 4), 1 << 32) & mask
+    pool = list(root.pool.astype(np.uint64))
+    for word in (np.arange(n, dtype=np.uint64), *suffix):
+        for i in range(4):
+            h, value = h * 0x931E8875 & mask, word ^ h
+            value = value * h & mask
+            mixed = 0xCA01F9DD * pool[i] - 0x4973F715 * (value ^ value >> 16) & mask
+            pool[i] = mixed ^ mixed >> 16
+    h, words = 0x8B51F9DD, []
+    for i in range(8):  # generate_state(4, uint64): eight 32-bit words from the cycled pool, paired little-endian
+        h, value = h * 0x58F38DED & mask, pool[i % 4] ^ h
+        value = value * h & mask
+        words.append(value ^ value >> 16)
+    state = np.stack([low | high << 32 for low, high in zip(words[::2], words[1::2])], axis=1)
+    return (np.random.Generator(np.random.PCG64(Words(row))) for row in state)
+
+
 # ---------------------------------------------------------------------------
 # Bootstrap error bars
 # ---------------------------------------------------------------------------
@@ -158,9 +193,9 @@ def bootstrap_errorbars(
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _evaluate_scenario(family, param, mechanism, scenario, config, shots, seed):
-    """One mechanism's sweep record; the first child of the ``SeedSequence`` ``seed`` seeds its oracle."""
-    oracle = make_oracle(scenario, shots=shots, seed=seed.spawn(1)[0])
+def _evaluate_scenario(family, param, mechanism, scenario, config, shots, rng):
+    """One mechanism's sweep record; its oracle draws from the Generator ``rng``."""
+    oracle = make_oracle(scenario, shots=shots, seed=rng)
     result = identify(oracle, config)
     p0 = oracle.history[0].correlations
     if result.rounds_used == 2:
@@ -217,7 +252,7 @@ def run_sweep(
     lattice denominator of the plane family (default 10).  Records follow
     the grid in ascending parameter order; each point lists the state's
     record before the channel's.  Each point spawns one seed child for the
-    channel, then one for the state.
+    channel, then one for the state; an oracle draws from its child's child.
     """
     config = config or AlgoConfig()
     if grid is not None and grid < 1:
@@ -229,17 +264,13 @@ def run_sweep(
     else:
         raise ValueError(f"unknown sweep family {family!r}")
 
-    root = np.random.SeedSequence(seed)
-    records = []
     # every mechanism is built before the first evaluation: building each pair between
     # evaluations ran 4-5% slower on the sampled plane-sweep benchmark (2-core x86-64, numpy 2.4)
-    for param, mechanisms in list(grid_iter):
-        dc_seed, cc_seed = root.spawn(2)
-        for mechanism, child in (("cc", cc_seed), ("dc", dc_seed)):
-            records.append(_evaluate_scenario(
-                family, param, mechanism, mechanisms[mechanism], config, shots, child
-            ))
-    return records
+    points = list(grid_iter)
+    rngs = _child_rngs(seed, 2 * len(points), suffix=(0,))
+    return [_evaluate_scenario(family, param, mechanism, mechanisms[mechanism], config, shots, rng)
+            for (param, mechanisms), dc_rng, cc_rng in zip(points, rngs, rngs)
+            for mechanism, rng in (("cc", cc_rng), ("dc", dc_rng))]
 
 
 def _fmt(value) -> str:
@@ -312,17 +343,16 @@ def run_random_bench(
     if cc_kind not in ("mixed", "pure"):
         raise ValueError(f"cc_kind must be 'pure' or 'mixed', got {cc_kind!r}")
     n_dc = n_scenarios // 2
-    children = np.random.SeedSequence(seed).spawn(2 * n_scenarios)
+    rngs = _child_rngs(seed, 2 * n_scenarios)
     tally = Counter()  # (truth, verdict) pairs, verdict None for an excluded scenario
-    for i in range(n_scenarios):
+    for i, (scenario_rng, oracle_rng) in enumerate(zip(rngs, rngs)):  # seed children 2 i and 2 i + 1
         truth = "DC" if i < n_dc else "CC"
-        scenario_seed, oracle_seed = children[2 * i], children[2 * i + 1]
-        scenario = haar_unitary(scenario_seed) if truth == "DC" else random_state(cc_kind, scenario_seed)
+        scenario = haar_unitary(scenario_rng) if truth == "DC" else random_state(cc_kind, scenario_rng)
         margin, verdict = exact_margin(scenario, config, stop_margin=eta) if eta > 0 else (math.inf, None)
         if margin < eta:
             verdict = None
         elif shots or verdict is None:  # in exact mode a second run would repeat the margin pass
-            verdict = identify(make_oracle(scenario, shots=shots, seed=oracle_seed), config, stop_margin=0.0).verdict
+            verdict = identify(make_oracle(scenario, shots=shots, seed=oracle_rng), config, stop_margin=0.0).verdict
         tally[truth, verdict] += 1
     return ConfusionMatrix(tally["DC", "DC"], tally["DC", "CC"], tally["CC", "DC"], tally["CC", "CC"],
                            excluded_dc=tally["DC", None], excluded_cc=tally["CC", None])
@@ -351,10 +381,9 @@ def run_tetra_check(samples: int, seed=None) -> TetraReport:
     """Sample mechanisms and audit membership of their correlation vectors."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    children = np.random.SeedSequence(seed).spawn(2 * samples)
-    # each mechanism draws only from its own child, so building all channels first changes no byte
-    dc_points = np.array([pauli_vector(haar_unitary(child)) for child in children[::2]])
-    cc_points = np.array([pauli_vector(random_state("mixed", child)) for child in children[1::2]])
+    rngs = _child_rngs(seed, 2 * samples)  # sample i: a channel from child 2 i, a state from child 2 i + 1
+    pairs = [(pauli_vector(haar_unitary(dc)), pauli_vector(random_state("mixed", cc))) for dc, cc in zip(rngs, rngs)]
+    dc_points, cc_points = (np.array(points) for points in zip(*pairs))
     (dc_viol, worst_dc), (cc_viol, worst_cc) = _audit(dc_points, DC_TETRA), _audit(cc_points, CC_TETRA)
 
     pauli_ok = all(

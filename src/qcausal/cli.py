@@ -46,8 +46,20 @@ def _parse_mode(text: str) -> int:
     return shots
 
 
+def _parse_seed(text: str) -> int:
+    """A ``--seed``: an integer that ``int`` reads and that is not negative, as ``numpy.random.SeedSequence`` needs."""
+    error = argparse.ArgumentTypeError(f"expected a non-negative integer, got {reprlib.repr(text)}")
+    try:
+        seed = int(text)
+    except ValueError:  # '1.5', 'x' and '' among others
+        raise error from None
+    if seed < 0:
+        raise error
+    return seed
+
+
 def _add_seed_and_out(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed", type=_parse_seed)
     parser.add_argument("--out", help="output path (default: stdout)")
 
 

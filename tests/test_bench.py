@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcausal import bench
 from qcausal.bench import (
@@ -140,7 +142,8 @@ class TestParityBootstrap:
         calls = _record_delta_std(monkeypatch)
         for a, rounds in ((0.5, 1), (0.03, 2)):
             calls.clear()
-            r = bench._evaluate_scenario("edge", f"{a}", "cc", edge_cc(a), AlgoConfig(), 5000, np.random.SeedSequence(6))
+            rng = np.random.default_rng(np.random.SeedSequence(6).spawn(1)[0])
+            r = bench._evaluate_scenario("edge", f"{a}", "cc", edge_cc(a), AlgoConfig(), 5000, rng)
             assert (r.param, r.mechanism, r.N) == (f"{a}", "cc", 5000)
             assert r.round == rounds
             closed = [(rec.counts[2], n) for rec, n, gradient, _ in calls if gradient == [0.0, 0.0, 1.0]]
@@ -447,7 +450,41 @@ class TestRandomBench:
         assert abs(exact_margin(scenario)[0] - margin) < 1e-12
 
 
+#: Root seeds of one word, of several words, beyond the four-word pool, and lists of words.
+_SEEDS = [0, 3, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**200 + 7, [1, 2], [2**40, 7, 9]]
+
+
+def _spawned(seed, n, suffix):
+    """``default_rng`` of ``SeedSequence(seed).spawn(n)``, or of each child's first child when ``suffix``."""
+    children = np.random.SeedSequence(seed).spawn(n)
+    return [np.random.default_rng(child.spawn(1)[0] if suffix else child) for child in children]
+
+
 class TestEnsembleStreams:
+    @pytest.mark.parametrize("suffix", [(), (0,)])
+    @pytest.mark.parametrize("seed", _SEEDS, ids=str)
+    def test_child_rngs_are_the_spawned_streams(self, seed, suffix):
+        rngs = list(bench._child_rngs(seed, 12, suffix))
+        expected = _spawned(seed, 12, suffix)
+        assert len(rngs) == 12 and len({id(rng) for rng in rngs}) == 12
+        for rng, reference in zip(rngs, expected):
+            np.testing.assert_array_equal(rng.integers(0, 2**64, 8, dtype=np.uint64),
+                                          reference.integers(0, 2**64, 8, dtype=np.uint64))
+            assert rng.normal(size=5).tolist() == reference.normal(size=5).tolist()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.one_of(st.none(), st.integers(0, 2**300), st.lists(st.integers(0, 2**70), min_size=1, max_size=9)),
+        n=st.integers(1, 40),
+        suffix=st.sampled_from([(), (0,)]),
+    )
+    @example(seed=None, n=1, suffix=())
+    def test_child_rngs_match_spawn_for_any_root(self, seed, n, suffix):
+        # None draws an OS-entropy root; its entropy then names the same root to both sides
+        entropy = np.random.SeedSequence(seed).entropy
+        for rng, reference in zip(bench._child_rngs(entropy, n, suffix), _spawned(entropy, n, suffix), strict=True):
+            assert rng.random(3).tolist() == reference.random(3).tolist()
+
     @pytest.mark.parametrize("seed", [5, 12])
     def test_random_bench_draws_the_spawned_children(self, monkeypatch, seed):
         # every mechanism and every sampled oracle's parity counts come from SeedSequence(seed).spawn(2 n):

@@ -457,6 +457,25 @@ class TestTetraCheckCommand:
         assert captured.out == ""
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "edge", "--grid", "2"],
+        ["identify", "{doc}"],
+        ["random-bench", "--scenarios", "2"],
+        ["tetra-check", "--samples", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890", "1.5"])
+    def test_seed_is_a_non_negative_integer_named_in_the_error(self, capsys, tmp_path, argv, seed):
+        doc = write_json(tmp_path / "dc.json", {"dc": {"axis": [0, 0, 1], "angle": 1.0}})
+        argv = [doc if arg == "{doc}" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", seed])
+        assert exc.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
+        assert captured.out == ""
+
+
 class TestUnreadFlags:
     @pytest.mark.parametrize(
         "argv",
