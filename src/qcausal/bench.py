@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .comb import DirectCause, Scenario, delta_std, make_oracle, pauli_vector
-from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric
-from .identify import AlgoConfig, SECOND_ROUND_TARGET, alignment_scan, identify
+from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, plane_gap
+from .identify import _ALIGNED_DUST, _PLANE_GUARD, AlgoConfig, SECOND_ROUND_TARGET, alignment_scan, identify
 # Unused here; bound so the per-layer benchmark tracer can wrap or count them on this module.
 from .geometry import distance  # noqa: F401
 from .identify import axis_candidates, modifier_from_axis, second_round  # noqa: F401
@@ -333,22 +333,29 @@ def run_random_bench(
 ) -> ConfusionMatrix:
     """Identify a half/half ensemble of random channels and random states.
 
-    Scenarios whose exact-mode margin is below ``eta`` are counted as excluded rather than
-    scored.  Both runs stop at the probe that settles their outcome; the tallies are those of full runs.
+    Scenarios whose exact-mode margin is below ``eta`` are counted as excluded rather than scored.  A scenario
+    the plane gap settles, with ``plane_gap(p0) - delta >= 2 eta + 1e-12`` and ``eta <= epsilon - 1e-9``, has a
+    margin of ``eta`` or more and takes no margin pass: a state's criterion lies ``eta`` or more above ``epsilon``
+    (same-frame ``1 - C33 >= plane_gap / 2``, ``delta >= 2 epsilon``) and an exact channel's within 1e-9 of 0, in
+    round one.  Every other scenario runs the exact margin pass first.  Both runs stop at the probe that settles
+    their outcome; the tallies are those of full runs.
     """
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
-    if not np.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta}")
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if cc_kind not in ("mixed", "pure"):
         raise ValueError(f"cc_kind must be 'pure' or 'mixed', got {cc_kind!r}")
+    config = config or AlgoConfig()
+    gap_settles = eta + _ALIGNED_DUST <= config.epsilon
     n_dc = n_scenarios // 2
     rngs = _child_rngs(seed, 2 * n_scenarios)
     tally = Counter()  # (truth, verdict) pairs, verdict None for an excluded scenario
     for i, (scenario_rng, oracle_rng) in enumerate(zip(rngs, rngs)):  # seed children 2 i and 2 i + 1
         truth = "DC" if i < n_dc else "CC"
         scenario = haar_unitary(scenario_rng) if truth == "DC" else random_state(cc_kind, scenario_rng)
-        margin, verdict = exact_margin(scenario, config, stop_margin=eta) if eta > 0 else (math.inf, None)
+        settled = eta == 0 or gap_settles and plane_gap(pauli_vector(scenario)) - config.delta >= 2 * eta + _PLANE_GUARD
+        margin, verdict = (math.inf, None) if settled else exact_margin(scenario, config, stop_margin=eta)
         if margin < eta:
             verdict = None
         elif shots or verdict is None:  # in exact mode a second run would repeat the margin pass

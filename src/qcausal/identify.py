@@ -44,6 +44,8 @@ _SX = pauli(1)
 SECOND_ROUND_TARGET = DC_VERTICES[3]
 #: Plane gaps below ``delta + _PLANE_GUARD`` take the flipped round (see ``AlgoConfig``).
 _PLANE_GUARD = 1e-12
+#: Bound on the smallest exact ``1 - C33`` over a round-one channel's candidate axes (4e-12 the most measured).
+_ALIGNED_DUST = 1e-9
 #: Width, in delta-method sigmas, of the band a sampled bound must clear.
 _BAND_SIGMAS = 3
 #: ``1 - cos(theta)`` or summed axis weights below this leave +z as the only candidate axis.

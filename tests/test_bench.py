@@ -1,3 +1,4 @@
+import functools
 import json
 from collections import Counter
 from dataclasses import asdict
@@ -20,9 +21,9 @@ from qcausal.bench import (
     sweep_records_to_csv,
     sweep_summary,
 )
-from qcausal.comb import DirectCause, make_oracle
-from qcausal.geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, distance
-from qcausal.identify import SECOND_ROUND_TARGET, AlgoConfig, identify
+from qcausal.comb import DirectCause, make_oracle, pauli_vector
+from qcausal.geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, distance, plane_gap
+from qcausal.identify import _PLANE_GUARD, SECOND_ROUND_TARGET, AlgoConfig, identify
 from qcausal.scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, random_state
 from reference import audit_per_point, correlation, random_bench_streams, target_distances
 
@@ -344,6 +345,53 @@ class TestSweepInputs:
             run_sweep(family, grid=grid)
 
 
+#: Configurations the random benchmark's tallies are checked under: the default, a tight and a wide cutoff, a
+#: close flipped-round cutoff.
+_CONFIGS = {
+    "default": AlgoConfig(),
+    "tight": AlgoConfig(epsilon=0.03, delta=0.4),
+    "wide": AlgoConfig(epsilon=0.2, delta=0.4),
+    "close-flip": AlgoConfig(epsilon_prime=0.3),
+}
+#: Cutoffs ``eta`` by name, each from a configuration's ``epsilon`` and one scenario's plane-gap ``edge``.
+_ETAS = {
+    "1e-6": lambda eps, edge: 1e-6,
+    "0.05": lambda eps, edge: 0.05,
+    "eps-1e-9": lambda eps, edge: eps - 1e-9,
+    "eps-1e-9-ulp": lambda eps, edge: np.nextafter(eps - 1e-9, 0.0),
+    "eps-1e-9+ulp": lambda eps, edge: np.nextafter(eps - 1e-9, 1.0),
+    "eps": lambda eps, edge: eps,
+    "0.3": lambda eps, edge: 0.3,
+    "edge-ulp": lambda eps, edge: np.nextafter(edge, 0.0),
+    "edge+ulp": lambda eps, edge: np.nextafter(edge, 1.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _full_runs(n, shots, seed, config, cc_kind):
+    """``run_random_bench``'s scenarios, each with its truth, full exact margin and full run's verdict at ``shots``.
+
+    Scenario ``i`` is built from child ``2 i`` of ``SeedSequence(seed).spawn(2 n)``, its oracle seeded with child
+    ``2 i + 1``: the two-pass form, with no run stopped.
+    """
+    children = np.random.SeedSequence(seed).spawn(2 * n)
+    runs = []
+    for i in range(n):
+        truth, scenario_seed = ("dc" if i < n // 2 else "cc"), children[2 * i]
+        scenario = haar_unitary(scenario_seed) if truth == "dc" else random_state(cc_kind, scenario_seed)
+        verdict = identify(make_oracle(scenario, shots=shots, seed=children[2 * i + 1]), config).verdict
+        runs.append((truth, scenario, exact_margin(scenario, config)[0], verdict))
+    return tuple(runs)
+
+
+def _two_pass_tallies(runs, eta):
+    """The tallies of ``_full_runs``: a scenario whose margin is below ``eta`` is excluded, any other scored."""
+    tallies = Counter()
+    for truth, _, margin, verdict in runs:
+        tallies[f"excluded_{truth}" if margin < eta else f"{truth}_as_{verdict.lower()}"] += 1
+    return ConfusionMatrix(**tallies)
+
+
 class TestRandomBench:
     def test_exact_mode_is_perfect(self):
         cm = run_random_bench(60, shots=0, eta=1e-3, seed=11)
@@ -402,23 +450,31 @@ class TestRandomBench:
     @pytest.mark.parametrize("cc_kind", ["mixed", "pure"])
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_sampled_run_matches_the_two_pass_form_of_full_runs(self, shots, cc_kind, seed):
-        # full runs throughout: a plain margin pass, then a full sampled identify on the oracle's seed
-        children = np.random.SeedSequence(seed).spawn(80)
-        tallies = Counter()
-        for i in range(40):
-            truth, scenario_seed = ("dc" if i < 20 else "cc"), children[2 * i]
-            scenario = haar_unitary(scenario_seed) if truth == "dc" else random_state(cc_kind, scenario_seed)
-            if exact_margin(scenario)[0] < 0.05:
-                tallies[f"excluded_{truth}"] += 1
-            else:
-                verdict = identify(make_oracle(scenario, shots=shots, seed=children[2 * i + 1])).verdict
-                tallies[f"{truth}_as_{verdict.lower()}"] += 1
-        assert run_random_bench(40, shots=shots, eta=0.05, seed=seed, cc_kind=cc_kind) == ConfusionMatrix(**tallies)
+        runs = _full_runs(40, shots, seed, AlgoConfig(), cc_kind)
+        assert run_random_bench(40, shots=shots, eta=0.05, seed=seed, cc_kind=cc_kind) == _two_pass_tallies(runs, 0.05)
+
+    @pytest.mark.parametrize("eta", list(_ETAS))
+    @pytest.mark.parametrize("config", list(_CONFIGS.values()), ids=list(_CONFIGS))
+    @pytest.mark.parametrize("cc_kind", ["mixed", "pure"])
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_tallies_are_those_of_full_runs_at_every_eta(self, shots, cc_kind, config, eta):
+        # the edge: the smallest (gap - delta - guard) / 2 below epsilon - 1e-9, an eta where the margin pass starts
+        # to run; seed 6 has one in every case
+        runs = _full_runs(24, shots, 6, config, cc_kind)
+        edges = [(plane_gap(pauli_vector(scenario)) - config.delta - _PLANE_GUARD) / 2 for _, scenario, _, _ in runs]
+        eta = float(_ETAS[eta](config.epsilon, min(e for e in edges if 0 < e < config.epsilon - 1e-9)))
+        expected = _two_pass_tallies(runs, eta)
+        assert run_random_bench(24, shots=shots, eta=eta, seed=6, config=config, cc_kind=cc_kind) == expected
 
     def test_sampled_run_still_draws_its_verdict(self, identify_shots):
-        # the margin pass runs exact, the verdict pass at the bench's shots
-        cm = run_random_bench(20, shots=1000, eta=0.05, seed=3)
-        assert identify_shots.count(0) == 20 and identify_shots.count(1000) == cm.included > 0
+        # an exact margin pass for each scenario the plane gap leaves unsettled, a verdict pass at the bench's shots
+        # for each included one
+        config, eta, children = AlgoConfig(), 0.05, np.random.SeedSequence(3).spawn(40)
+        scenarios = [haar_unitary(children[2 * i]) for i in range(10)]
+        scenarios += [random_state("mixed", children[2 * i]) for i in range(10, 20)]
+        unsettled = sum(plane_gap(pauli_vector(s)) - config.delta < 2 * eta + _PLANE_GUARD for s in scenarios)
+        cm = run_random_bench(20, shots=1000, eta=eta, seed=3)
+        assert identify_shots.count(0) == unsettled > 0 and identify_shots.count(1000) == cm.included > 0
 
     def test_accuracy_property(self):
         cm = ConfusionMatrix(dc_as_dc=48, dc_as_cc=2, cc_as_dc=1, cc_as_cc=49)

@@ -425,6 +425,13 @@ class TestRandomBenchCommand:
         assert "error: eta" in captured.err
         assert captured.out == ""
 
+    def test_negative_eta_exits_two(self, capsys):
+        # a negative cutoff would read as "exclude nothing"; identify refuses a negative stop_margin too
+        assert main(["random-bench", "--scenarios", "4", "--eta", "-0.05"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error: eta must be finite and >= 0, got -0.05" in captured.err
+        assert captured.out == ""
+
 
 class TestTetraCheckCommand:
     def test_small_run(self, capsys):
