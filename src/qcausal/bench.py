@@ -19,7 +19,8 @@ import numpy as np
 
 from .comb import DirectCause, Scenario, delta_std, make_oracle, pauli_vector
 from .geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, barycentric, plane_gap
-from .identify import _ALIGNED_DUST, _PLANE_GUARD, AlgoConfig, SECOND_ROUND_TARGET, alignment_scan, identify
+from .identify import _ALIGNED_DUST, _CC_TARGET_DISTANCE, _FLIPPED_DUST, _PLANE_GUARD, AlgoConfig, SECOND_ROUND_TARGET
+from .identify import alignment_scan, identify
 # Unused here; bound so the per-layer benchmark tracer can wrap or count them on this module.
 from .geometry import distance  # noqa: F401
 from .identify import axis_candidates, modifier_from_axis, second_round  # noqa: F401
@@ -333,12 +334,14 @@ def run_random_bench(
 ) -> ConfusionMatrix:
     """Identify a half/half ensemble of random channels and random states.
 
-    Scenarios whose exact-mode margin is below ``eta`` are counted as excluded rather than scored.  A scenario
-    the plane gap settles, with ``plane_gap(p0) - delta >= 2 eta + 1e-12`` and ``eta <= epsilon - 1e-9``, has a
-    margin of ``eta`` or more and takes no margin pass: a state's criterion lies ``eta`` or more above ``epsilon``
-    (same-frame ``1 - C33 >= plane_gap / 2``, ``delta >= 2 epsilon``) and an exact channel's within 1e-9 of 0, in
-    round one.  Every other scenario runs the exact margin pass first.  Both runs stop at the probe that settles
-    their outcome; the tallies are those of full runs.
+    Scenarios whose exact-mode margin is below ``eta`` are counted as excluded rather than scored.  The exact run's
+    first margin is ``d = plane_gap(p0) - delta``: ``|d| < eta`` excludes a scenario with no margin pass.  With
+    ``|d| >= eta`` the margin is ``eta`` or more, with no pass, in round one if ``d >= 2 eta + 1e-12`` and ``eta <=
+    epsilon - 1e-9`` (a state's criterion lies ``eta`` or more above ``epsilon``, as same-frame ``1 - C33 >= plane_gap
+    / 2`` and ``delta >= 2 epsilon``; an exact channel's within 1e-9 of 0), and in the flipped round if ``eta <=
+    min(epsilon_prime, 2/sqrt(3) - epsilon_prime) - 2e-9`` (an exact channel lands within 2e-9 of ``(-1, -1, 1)``,
+    a state no closer than ``2/sqrt(3)``).  Every other scenario runs the exact margin pass first.  Both runs stop
+    at the probe that settles their outcome; the tallies are those of full runs.
     """
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
@@ -348,14 +351,18 @@ def run_random_bench(
         raise ValueError(f"cc_kind must be 'pure' or 'mixed', got {cc_kind!r}")
     config = config or AlgoConfig()
     gap_settles = eta + _ALIGNED_DUST <= config.epsilon
+    flip_settles = eta + _FLIPPED_DUST <= min(config.epsilon_prime, _CC_TARGET_DISTANCE - config.epsilon_prime)
     n_dc = n_scenarios // 2
     rngs = _child_rngs(seed, 2 * n_scenarios)
     tally = Counter()  # (truth, verdict) pairs, verdict None for an excluded scenario
     for i, (scenario_rng, oracle_rng) in enumerate(zip(rngs, rngs)):  # seed children 2 i and 2 i + 1
         truth = "DC" if i < n_dc else "CC"
         scenario = haar_unitary(scenario_rng) if truth == "DC" else random_state(cc_kind, scenario_rng)
-        settled = eta == 0 or gap_settles and plane_gap(pauli_vector(scenario)) - config.delta >= 2 * eta + _PLANE_GUARD
-        margin, verdict = (math.inf, None) if settled else exact_margin(scenario, config, stop_margin=eta)
+        gap = plane_gap(pauli_vector(scenario)) if eta else math.inf
+        margin, verdict = abs(gap - config.delta), None  # |margins[0]| of the exact run, bit for bit
+        if not (margin < eta or eta == 0 or gap_settles and gap - config.delta >= 2 * eta + _PLANE_GUARD
+                or flip_settles and gap < config.delta + _PLANE_GUARD):
+            margin, verdict = exact_margin(scenario, config, stop_margin=eta)
         if margin < eta:
             verdict = None
         elif shots or verdict is None:  # in exact mode a second run would repeat the margin pass

@@ -46,10 +46,14 @@ SECOND_ROUND_TARGET = DC_VERTICES[3]
 _PLANE_GUARD = 1e-12
 #: Bound on the smallest exact ``1 - C33`` over a round-one channel's candidate axes (4e-12 the most measured).
 _ALIGNED_DUST = 1e-9
+#: The closest any common cause comes to ``(-1, -1, 1)`` in the flipped round: ``2 / sqrt(3)``.
+_CC_TARGET_DISTANCE = 2.0 / math.sqrt(3.0)
 #: Width, in delta-method sigmas, of the band a sampled bound must clear.
 _BAND_SIGMAS = 3
 #: ``1 - cos(theta)`` or summed axis weights below this leave +z as the only candidate axis.
 _AXIS_TOL = 1e-9
+#: Bound on a channel's smallest exact flipped criterion, ``sqrt(2) (1 - cos(theta))`` when +z is its only candidate.
+_FLIPPED_DUST = 2 * _AXIS_TOL
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,8 @@ class AlgoConfig:
     bound is tight, so states on the boundary would be decided by rounding;
     the plane test therefore sends gaps below ``delta + 1e-12`` (a few hundred
     ulps) to the flipped round, where the two causes lie far apart.
-    ``epsilon_prime < 2/sqrt(3)``, the closest any common cause comes to
-    ``(-1, -1, 1)`` there, is required too.
+    ``epsilon_prime < _CC_TARGET_DISTANCE`` (``2/sqrt(3)``), the closest any
+    common cause comes to ``(-1, -1, 1)`` there, is required too.
     """
 
     epsilon: float = 0.075
@@ -79,7 +83,7 @@ class AlgoConfig:
                 raise ValueError("thresholds must be finite and positive")
         if self.delta < 2 * self.epsilon:
             raise ValueError(f"delta must be >= 2 * epsilon = {2 * self.epsilon}, got {self.delta}")
-        if self.epsilon_prime >= 2.0 / math.sqrt(3.0):
+        if self.epsilon_prime >= _CC_TARGET_DISTANCE:
             raise ValueError(f"epsilon_prime must be < 2 / sqrt(3), got {self.epsilon_prime}")
 
 

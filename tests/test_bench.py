@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 from collections import Counter
 from dataclasses import asdict
 
@@ -24,6 +25,7 @@ from qcausal.bench import (
 from qcausal.comb import DirectCause, make_oracle, pauli_vector
 from qcausal.geometry import CC_TETRA, CC_VERTICES, DC_TETRA, DC_VERTICES, distance, plane_gap
 from qcausal.identify import _PLANE_GUARD, SECOND_ROUND_TARGET, AlgoConfig, identify
+from qcausal.linalg import X_AXIS, unitary_from_axis_angle
 from qcausal.scenarios import edge_cc, edge_dc, haar_unitary, plane_cc, random_state
 from reference import audit_per_point, correlation, random_bench_streams, target_distances
 
@@ -346,24 +348,40 @@ class TestSweepInputs:
 
 
 #: Configurations the random benchmark's tallies are checked under: the default, a tight and a wide cutoff, a
-#: close flipped-round cutoff.
+#: close flipped-round cutoff and a far one, within 0.005 of the closest a common cause comes to ``(-1, -1, 1)``.
 _CONFIGS = {
     "default": AlgoConfig(),
     "tight": AlgoConfig(epsilon=0.03, delta=0.4),
     "wide": AlgoConfig(epsilon=0.2, delta=0.4),
     "close-flip": AlgoConfig(epsilon_prime=0.3),
+    "far-flip": AlgoConfig(epsilon_prime=1.15),
 }
-#: Cutoffs ``eta`` by name, each from a configuration's ``epsilon`` and one scenario's plane-gap ``edge``.
+
+
+def _flip_reach(config, dust):
+    """``min(epsilon_prime, 2 / sqrt(3) - epsilon_prime) - dust``: with ``dust`` 2e-9, the largest ``eta`` that spares a
+    flipped scenario its margin pass; with 1e-9, the largest if a flipped channel always landed within 1e-9."""
+    return min(config.epsilon_prime, 2.0 / math.sqrt(3.0) - config.epsilon_prime) - dust
+
+
+#: Cutoffs ``eta`` by name, each from a configuration, one scenario's plane-gap ``edge`` and one flipped scenario's
+#: ``|gap - delta|``, ``flip``.
 _ETAS = {
-    "1e-6": lambda eps, edge: 1e-6,
-    "0.05": lambda eps, edge: 0.05,
-    "eps-1e-9": lambda eps, edge: eps - 1e-9,
-    "eps-1e-9-ulp": lambda eps, edge: np.nextafter(eps - 1e-9, 0.0),
-    "eps-1e-9+ulp": lambda eps, edge: np.nextafter(eps - 1e-9, 1.0),
-    "eps": lambda eps, edge: eps,
-    "0.3": lambda eps, edge: 0.3,
-    "edge-ulp": lambda eps, edge: np.nextafter(edge, 0.0),
-    "edge+ulp": lambda eps, edge: np.nextafter(edge, 1.0),
+    "1e-6": lambda config, edge, flip: 1e-6,
+    "0.05": lambda config, edge, flip: 0.05,
+    "eps-1e-9": lambda config, edge, flip: config.epsilon - 1e-9,
+    "eps-1e-9-ulp": lambda config, edge, flip: np.nextafter(config.epsilon - 1e-9, 0.0),
+    "eps-1e-9+ulp": lambda config, edge, flip: np.nextafter(config.epsilon - 1e-9, 1.0),
+    "eps": lambda config, edge, flip: config.epsilon,
+    "0.3": lambda config, edge, flip: 0.3,
+    "edge-ulp": lambda config, edge, flip: np.nextafter(edge, 0.0),
+    "edge+ulp": lambda config, edge, flip: np.nextafter(edge, 1.0),
+    "flip-ulp": lambda config, edge, flip: np.nextafter(flip, 0.0),
+    "flip+ulp": lambda config, edge, flip: np.nextafter(flip, 1.0),
+    "reach-1e-9-ulp": lambda config, edge, flip: np.nextafter(_flip_reach(config, 1e-9), 0.0),
+    "reach-1e-9+ulp": lambda config, edge, flip: np.nextafter(_flip_reach(config, 1e-9), 1.0),
+    "reach-2e-9-ulp": lambda config, edge, flip: np.nextafter(_flip_reach(config, 2e-9), 0.0),
+    "reach-2e-9+ulp": lambda config, edge, flip: np.nextafter(_flip_reach(config, 2e-9), 1.0),
 }
 
 
@@ -430,13 +448,16 @@ class TestRandomBench:
 
     @pytest.mark.parametrize("cc_kind", ["mixed", "pure"])
     @pytest.mark.parametrize("seed", [5, 6, 7])
-    def test_exact_run_takes_its_verdict_from_the_margin_pass(self, identify_shots, cc_kind, seed):
-        # the two-pass form: a margin pass, then a verdict pass on an oracle seeded from the scenario
+    def test_exact_run_identifies_once_each_scenario_the_gap_does_not_exclude(self, identify_shots, cc_kind, seed):
+        # the two-pass form: a margin pass, then a verdict pass on an oracle seeded from the scenario; the bench
+        # runs one exact identify per scenario with |gap - delta| >= eta (a margin pass or a verdict pass), none
+        # for the others, which the plane gap alone excludes
         children = np.random.SeedSequence(seed).spawn(80)
-        tallies = Counter()
+        tallies, gap_kept = Counter(), 0
         for i in range(40):
             truth, scenario_seed = ("dc" if i < 20 else "cc"), children[2 * i]
             scenario = haar_unitary(scenario_seed) if truth == "dc" else random_state(cc_kind, scenario_seed)
+            gap_kept += abs(plane_gap(pauli_vector(scenario)) - AlgoConfig().delta) >= 0.05
             if exact_margin(scenario)[0] < 0.05:
                 tallies[f"excluded_{truth}"] += 1
             else:
@@ -444,7 +465,7 @@ class TestRandomBench:
                 tallies[f"{truth}_as_{verdict.lower()}"] += 1
         identify_shots.clear()  # the reference's margin passes
         assert run_random_bench(40, eta=0.05, seed=seed, cc_kind=cc_kind) == ConfusionMatrix(**tallies)
-        assert identify_shots == [0] * 40
+        assert identify_shots == [0] * gap_kept
 
     @pytest.mark.parametrize("shots", [1000, 100_000])
     @pytest.mark.parametrize("cc_kind", ["mixed", "pure"])
@@ -459,22 +480,49 @@ class TestRandomBench:
     @pytest.mark.parametrize("shots", [0, 1000])
     def test_tallies_are_those_of_full_runs_at_every_eta(self, shots, cc_kind, config, eta):
         # the edge: the smallest (gap - delta - guard) / 2 below epsilon - 1e-9, an eta where the margin pass starts
-        # to run; seed 6 has one in every case
+        # to run; the flip: the smallest |gap - delta| of a flipped scenario, an eta where exclusion by the plane gap
+        # alone starts; seed 6 has both in every case
         runs = _full_runs(24, shots, 6, config, cc_kind)
-        edges = [(plane_gap(pauli_vector(scenario)) - config.delta - _PLANE_GUARD) / 2 for _, scenario, _, _ in runs]
-        eta = float(_ETAS[eta](config.epsilon, min(e for e in edges if 0 < e < config.epsilon - 1e-9)))
+        gaps = [plane_gap(pauli_vector(scenario)) for _, scenario, _, _ in runs]
+        edge = min(e for e in ((g - config.delta - _PLANE_GUARD) / 2 for g in gaps) if 0 < e < config.epsilon - 1e-9)
+        flip = min(abs(g - config.delta) for g in gaps if g < config.delta + _PLANE_GUARD)
+        eta = float(_ETAS[eta](config, edge, flip))
         expected = _two_pass_tallies(runs, eta)
         assert run_random_bench(24, shots=shots, eta=eta, seed=6, config=config, cc_kind=cc_kind) == expected
 
     def test_sampled_run_still_draws_its_verdict(self, identify_shots):
-        # an exact margin pass for each scenario the plane gap leaves unsettled, a verdict pass at the bench's shots
-        # for each included one
-        config, eta, children = AlgoConfig(), 0.05, np.random.SeedSequence(3).spawn(40)
+        # an exact margin pass for each scenario in the round-one band eta <= gap - delta < 2 eta + guard, the only
+        # one the plane gap leaves unsettled, a verdict pass at the bench's shots for each included one; seed 75
+        # has a scenario in the band and one the plane gap excludes
+        config, eta, children = AlgoConfig(), 0.05, np.random.SeedSequence(75).spawn(40)
         scenarios = [haar_unitary(children[2 * i]) for i in range(10)]
         scenarios += [random_state("mixed", children[2 * i]) for i in range(10, 20)]
-        unsettled = sum(plane_gap(pauli_vector(s)) - config.delta < 2 * eta + _PLANE_GUARD for s in scenarios)
-        cm = run_random_bench(20, shots=1000, eta=eta, seed=3)
-        assert identify_shots.count(0) == unsettled > 0 and identify_shots.count(1000) == cm.included > 0
+        d = [plane_gap(pauli_vector(s)) - config.delta for s in scenarios]
+        band = sum(eta <= x < 2 * eta + _PLANE_GUARD for x in d)
+        cm = run_random_bench(20, shots=1000, eta=eta, seed=75)
+        assert identify_shots.count(0) == band > 0 and identify_shots.count(1000) == cm.included > 0
+        assert cm.excluded_dc + cm.excluded_cc >= sum(abs(x) < eta for x in d) > 0
+
+    @pytest.mark.parametrize(
+        "draw, scenario, config, eta",
+        [
+            # a turn with 1 - cos(theta) just below the 1e-9 axis cut keeps +z as its only candidate axis and lands
+            # 1.41e-9 from (-1, -1, 1): an eta 1.2e-9 below epsilon_prime excludes it
+            ("haar_unitary", DirectCause(unitary_from_axis_angle(X_AXIS, 4.472e-5)), AlgoConfig(),
+             AlgoConfig().epsilon_prime - 1.2e-9),
+            # a pure state whose closest flipped probe lies 1.1707 from (-1, -1, 1), 0.021 beyond epsilon_prime
+            ("random_state", random_state("pure", 2064), AlgoConfig(epsilon_prime=1.15), 0.05),
+        ],
+        ids=["tiny-turn", "close-state"],
+    )
+    def test_a_flipped_scenario_near_its_cutoff_is_excluded_as_in_the_full_run(self, monkeypatch, draw, scenario,
+                                                                               config, eta):
+        # the plane gap alone would keep either: |gap - delta| is at least eta
+        assert exact_margin(scenario, config)[0] < eta < abs(plane_gap(pauli_vector(scenario)) - config.delta)
+        monkeypatch.setattr(bench, draw, lambda *args: scenario)
+        truth = "dc" if draw == "haar_unitary" else "cc"
+        tallies = asdict(run_random_bench(2, eta=eta, seed=1, config=config))
+        assert (tallies[f"excluded_{truth}"], tallies[f"{truth}_as_dc"], tallies[f"{truth}_as_cc"]) == (1, 0, 0)
 
     def test_accuracy_property(self):
         cm = ConfusionMatrix(dc_as_dc=48, dc_as_cc=2, cc_as_dc=1, cc_as_cc=49)

@@ -23,6 +23,8 @@ from qcausal.comb import (
 from qcausal.geometry import distance, plane_gap
 from qcausal.identify import (
     _ALIGNED_DUST,
+    _CC_TARGET_DISTANCE,
+    _FLIPPED_DUST,
     _PLANE_GUARD,
     AlgoConfig,
     SECOND_ROUND_TARGET,
@@ -33,7 +35,7 @@ from qcausal.identify import (
     second_round,
 )
 from qcausal.linalg import pauli, rotation_from_unitary, unitary_from_axis_angle
-from qcausal.scenarios import bell_diagonal, haar_unitary, haar_unitary_matrix, plane_dc, random_state
+from qcausal.scenarios import bell_diagonal, haar_unitary, haar_unitary_matrix, plane_cc, plane_dc, random_state
 from reference import axis_angle_from_rotation, correlation
 from reference import axis_candidates as axis_candidates_array
 
@@ -796,6 +798,83 @@ class TestRoundOneChannelsAlign:
         if plane_gap(p0) >= _PLANE_GUARD:
             criteria = [1.0 - oracle.query(v, v)[2] for v in map(modifier_from_axis, axis_candidates(p0))]
             assert min(criteria) <= _ALIGNED_DUST
+
+
+def _flipped_probes(oracle, config):
+    """Every probe of the flipped round over ``p0``'s candidate frames, none skipped; none if ``p0`` takes round one."""
+    p0 = oracle.query()
+    if plane_gap(p0) >= config.delta + _PLANE_GUARD:
+        return []
+    return [e for axis in axis_candidates(p0) for e in second_round(oracle, modifier_from_axis(axis))]
+
+
+#: The plane family's mechanisms on the sweep grid at 20, and off it: every plane channel and state is flipped.
+_PLANE_GRID = [pair for _, pair in _plane_grid(20)]
+_plane_channels = st.one_of(
+    st.sampled_from([pair["dc"] for pair in _PLANE_GRID]),
+    st.builds(lambda v: plane_dc(np.asarray(v) / np.linalg.norm(v)), _unit_axes),
+)
+_plane_states = st.one_of(
+    st.sampled_from([pair["cc"] for pair in _PLANE_GRID]),
+    st.builds(lambda w: plane_cc(np.asarray(w) / sum(w)), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(
+        lambda w: sum(w) > 1e-6
+    )),
+)
+
+
+#: Turns with ``1 - cos(theta)`` about the 1e-9 cut below which ``axis_candidates`` keeps +z as the only axis.
+_tiny_turns = st.builds(_channel, _unit_axes, st.floats(4.0e-5, 4.5e-5))
+
+
+class TestFlippedChannelsReachTheTarget:
+    """An exact channel in the flipped round lands within ``_FLIPPED_DUST`` (2e-9) of ``(-1, -1, 1)`` on some probe.
+
+    The flip pins the third correlation of the retest input to -1 when the frame's zenith is the rotation axis, and
+    the effective channel is a half-turn whose axis is among the flip query's candidates, so one probe measures
+    ``(-1, -1, 1)`` up to rounding.  A turn by ``theta`` with ``1 - cos(theta)`` below the axis cut has +z as its
+    only candidate; its effective channel turns by about ``pi - theta n_x``, not by ``pi``, and its best probe lies
+    ``sqrt(2) (1 - cos(theta n_x))`` from the target: 1.41e-9 the most measured, beyond ``_ALIGNED_DUST``, where
+    Haar channels stay within 2e-15.  ``bench.run_random_bench`` rests on this
+    bound when it spares a flipped scenario its margin pass: with ``eta <= epsilon_prime - 2e-9`` a channel's
+    criterion lies ``eta`` or more below ``epsilon_prime``.  A huge ``delta`` sends every channel to the flipped round.
+    """
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(_channels, _near_cut_channels, _plane_channels, _tiny_turns),
+        st.sampled_from([AlgoConfig(), _ALWAYS_FLIPPED]),
+    )
+    @example(_channel([1.0, 0.0, 0.0], 4.472e-5), AlgoConfig())
+    def test_a_flipped_probe_reaches_the_target(self, scenario, config):
+        probes = _flipped_probes(make_oracle(scenario), config)
+        if probes:
+            assert min(e.criterion for e in probes) <= _FLIPPED_DUST
+
+    def test_a_turn_below_the_axis_cut_lands_beyond_the_round_one_dust(self):
+        result = identify(make_oracle(_channel([1.0, 0.0, 0.0], 4.472e-5)))
+        assert (result.verdict, result.rounds_used) == ("DC", 2)
+        assert _ALIGNED_DUST < result.criterion_value < math.sqrt(2.0) * 1e-9
+
+
+class TestFlippedStatesStayFar:
+    """Every flipped probe of an exact state lies ``2/sqrt(3)`` or more from ``(-1, -1, 1)``, to a few ulps.
+
+    A probe measures the diagonal of the correlation matrix of a state turned by local unitaries, which lies in the
+    common-cause tetrahedron; its face ``C1 + C2 - C3 = -1`` lies ``2/sqrt(3)`` from the target (1.1560 the
+    closest measured).  ``bench.run_random_bench`` rests on this bound when it spares a flipped scenario its margin
+    pass: with ``eta <= 2/sqrt(3) - epsilon_prime - 2e-9`` a state's criterion lies ``eta`` or more above
+    ``epsilon_prime``.  A huge ``delta`` sends every state to the flipped round.
+    """
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(_states, _boundary_states, st.builds(random_state, st.just("pure"), st.integers(0, 2**32 - 1)),
+                  _plane_states),
+        st.sampled_from([AlgoConfig(), _ALWAYS_FLIPPED]),
+    )
+    def test_no_flipped_probe_comes_within_the_face_distance(self, scenario, config):
+        for e in _flipped_probes(make_oracle(scenario), config):
+            assert e.criterion >= _CC_TARGET_DISTANCE - 8 * np.spacing(_CC_TARGET_DISTANCE)
 
 
 class TestMarginsExplainTheVerdict:

@@ -110,10 +110,13 @@ def _commands(tmp: Path):
         ["sweep", "--family", "plane", "--grid", "2", "--mode", "shots=100", "--seed", "5", "--format", "json"],
         ["sweep", "--family", "edge", "--grid", "3", "--out", out],
         ["random-bench", "--scenarios", "6", "--seed", "3"],
+        # the plane gap settles these six scenarios, two flipped and four in round one
         ["random-bench", "--scenarios", "6", "--seed", "3", "--eta", "0.05", "--out", out],
+        # the third lies in the round-one band eta <= gap - delta < 2 eta + 1e-12: the one a margin pass decides
+        ["random-bench", "--scenarios", "4", "--seed", "82", "--eta", "0.05"],
         ["random-bench", "--scenarios", "6", "--seed", "3", "--mode", "shots=1000", "--cc-kind", "pure"],
         ["random-bench", "--scenarios", "6", "--seed", "3", "--mode", "shots=1000", "--eta", "0.05"],
-        ["random-bench", "--scenarios", "2", "--eta", "10"],  # every scenario excluded: no accuracy
+        ["random-bench", "--scenarios", "2", "--eta", "10"],  # the plane gap excludes every scenario: no accuracy
         ["tetra-check", "--samples", "5", "--seed", "4"],
         ["tetra-check", "--samples", "5", "--out", out],
     ]]
